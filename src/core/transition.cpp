@@ -193,7 +193,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   SDEM_OBS_ONLY(std::uint64_t obs_probes = 0; std::uint64_t obs_live = 0;
                 std::uint64_t obs_replay = 0; std::uint64_t obs_pieces = 0;
                 std::uint64_t obs_pruned = 0; std::uint64_t obs_cap_dl = 0;
-                std::uint64_t obs_cap_race = 0; std::size_t obs_capped = 0;)
+                std::uint64_t obs_cap_race = 0;)
 
   // Total energy as a function of the memory busy end T.
   auto energy = [&](double T) {
@@ -284,10 +284,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   ws.capped.assign(n, 0);
   ws.capped_cost.assign(n, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
-    if (ws.work[k] <= 0.0) {
-      ws.capped[k] = 1;
-      SDEM_OBS_ONLY(++obs_capped;)
-    }
+    if (ws.work[k] <= 0.0) ws.capped[k] = 1;
   }
 
   // Batched-probe tables, rebuilt once per piece. The ratcheted capped
@@ -325,8 +322,8 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   // order with the finiteness check after each add — exactly the pre-SoA
   // interleaved loop's values and order.
   auto energy_piece = [&](double T) {
-    SDEM_OBS_ONLY(++obs_probes; obs_replay += obs_capped;
-                  obs_live += n - obs_capped;)
+    SDEM_OBS_ONLY(++obs_probes; obs_replay += n - ws.live.size();
+                  obs_live += ws.live.size();)
     if (T <= 0.0) return has_work ? kInf : 0.0;
     double e = alpha_m * T + tail_cost(alpha_m, H - T, xi_m);
     for (const std::uint32_t k : ws.live) {
@@ -360,13 +357,13 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
         ws.capped_cost[k] =
             task_cost_ctx(sc, ws.work[k], ws.race_run[k], ws.race_cost[k],
                           ws.window_cap[k], run, speed);
-        SDEM_OBS_ONLY(if (ws.capped[k] == 0) ++obs_capped; ++obs_cap_dl;)
+        SDEM_OBS_ONLY(++obs_cap_dl;)
         ws.capped[k] = 1;
       } else if (ws.capped[k] == 0 && tail_free && sc.s_m > 0.0 && lo > 0.0 &&
                  ws.work[k] / lo <= cert_speed) {
         ws.capped_cost[k] = ws.race_cost[k];
         ws.capped[k] = 2;
-        SDEM_OBS_ONLY(++obs_capped; ++obs_cap_race;)
+        SDEM_OBS_ONLY(++obs_cap_race;)
       }
     }
     SDEM_OBS_ONLY(++obs_pieces;)

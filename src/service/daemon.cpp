@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -245,6 +246,11 @@ void Daemon::accept_clients() {
       if (errno == EINTR) continue;
       return;  // EAGAIN &c: accepted everything pending
     }
+    // Each response is its own small write; with Nagle on, one written
+    // behind a still-unacknowledged one waits for the client's delayed ACK
+    // (up to 40 ms on Linux).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     Conn c;
     c.fd = fd;
     c.id = writer_.add_conn(fd);

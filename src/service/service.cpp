@@ -525,7 +525,7 @@ namespace {
 
 /// Compact numeric literal for the exposition (the JSON shortest-roundtrip
 /// formatter, so scraped values parse back exactly).
-std::string prom_num(double v) { return Json(v).dump(); }
+std::string prom_num(double v) { return Json::number_to_string(v); }
 
 std::string shard_label(std::size_t i) {
   return "{shard=\"" + std::to_string(i) + "\"}";

@@ -1,9 +1,13 @@
 #include "support/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
+#include <system_error>
 
 namespace sdem {
 
@@ -85,12 +89,32 @@ std::size_t Json::size() const {
   }
 }
 
-std::string Json::number_to_string(double v) {
-  if (!std::isfinite(v)) return "null";
-  // Integers (within double's exact range) print bare: 8, not 8.0. Written
-  // by hand rather than snprintf("%.0f") — this runs per number in every
-  // response envelope and bench row, and the digits are identical (signbit
-  // keeps "-0" for negative zero).
+namespace {
+
+/// Longest text write_number emits: "-1.2345678901234567e-308" is 24.
+constexpr std::size_t kNumberChars = 32;
+
+/// Writes the number rule's bytes for `v` at `first` and returns the end.
+///
+/// The rule, fixed since the first BENCH_<name>.json: non-finite → null;
+/// integers below 1e15 bare; otherwise printf("%.{P}g") with P the first of
+/// 15, 16, 17 that strtod reads back exactly. std::to_chars with a
+/// precision is specified as that printf and std::from_chars as that strtod
+/// (both in the C locale), so the bytes are the old snprintf/strtod loop's.
+/// The shortest round-trip digit count D settles most of the search up
+/// front: a %.15g (or %.16g) text that read back exactly would be a
+/// round-trip spelling of at most 15 (16) digits, so P < D never
+/// round-trips and the loop starts at max(D, 15). It cannot start lower
+/// than 15 even when D is: %.15g rounds the exact value, not the shortest
+/// digits, and may spell more of them (9.14934969782825e-311, D = 14).
+char* write_number(char* first, double v) {
+  char* const last = first + kNumberChars;
+  if (!std::isfinite(v)) {
+    std::memcpy(first, "null", 4);
+    return first + 4;
+  }
+  // Integers (within double's exact range) print bare: 8, not 8.0; the
+  // digits are %.0f's (signbit keeps "-0" for negative zero).
   if (v == std::floor(v) && std::fabs(v) < 1e15) {
     char buf[24];
     char* q = buf + sizeof buf;
@@ -100,22 +124,43 @@ std::string Json::number_to_string(double v) {
       mag /= 10;
     } while (mag != 0);
     if (std::signbit(v)) *--q = '-';
-    return std::string(q, static_cast<std::size_t>(buf + sizeof buf - q));
+    const std::size_t len = static_cast<std::size_t>(buf + sizeof buf - q);
+    std::memcpy(first, q, len);
+    return first + len;
   }
-  // Shortest representation that round-trips: try increasing precision.
-  // strtod (not sscanf) for the round-trip check — same parse, no format
-  // string machinery.
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  const char* const sci =
+      std::to_chars(first, last, v, std::chars_format::scientific).ptr;
+  int digits = 0;
+  for (const char* p = first; p != sci && *p != 'e'; ++p) {
+    digits += *p >= '0' && *p <= '9';
   }
-  return buf;
+  for (int prec = std::max(digits, 15); prec < 17; ++prec) {
+    char* const end =
+        std::to_chars(first, last, v, std::chars_format::general, prec).ptr;
+    double back = 0.0;
+    if (std::from_chars(first, end, back).ec != std::errc()) {
+      *end = '\0';  // out of range for from_chars: strtod decides
+      back = std::strtod(first, nullptr);
+    }
+    if (back == v) return end;
+  }
+  // 17 significant digits read back exactly for every finite double.
+  return std::to_chars(first, last, v, std::chars_format::general, 17).ptr;
 }
 
-std::string Json::quote(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+}  // namespace
+
+void Json::append_number(std::string& out, double v) {
+  char buf[kNumberChars];
+  out.append(buf, write_number(buf, v));
+}
+
+std::string Json::number_to_string(double v) {
+  char buf[kNumberChars];
+  return std::string(buf, write_number(buf, v));
+}
+
+void Json::append_quoted(std::string& out, const std::string& s) {
   out += '"';
   // Bulk-copy runs of plain characters; the switch below only sees the
   // rare bytes that actually need escaping.
@@ -167,6 +212,12 @@ std::string Json::quote(const std::string& s) {
     }
   }
   out += '"';
+}
+
+std::string Json::quote(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_quoted(out, s);
   return out;
 }
 
@@ -206,10 +257,10 @@ void Json::write(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kNumber:
-      out += number_to_string(num_);
+      append_number(out, num_);
       break;
     case Kind::kString:
-      out += quote(str_);
+      append_quoted(out, str_);
       break;
     case Kind::kArray: {
       if (arr_.empty()) {
@@ -235,7 +286,7 @@ void Json::write(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < obj_.size(); ++i) {
         if (i) out += indent > 0 ? "," : ", ";
         newline_pad(depth + 1);
-        out += quote(obj_[i].first);
+        append_quoted(out, obj_[i].first);
         out += ": ";
         obj_[i].second.write(out, indent, depth + 1);
       }
@@ -438,9 +489,8 @@ class Parser {
     const char* start = text_.c_str() + pos_;
     // Fast path: a plain integer of up to 15 digits is exactly
     // representable, so composing it directly matches strtod bit for bit.
-    // Anything followed by '.', an exponent, or another letter (strtod
-    // also accepts hex and inf/nan spellings) takes the slow path so the
-    // accepted grammar is unchanged.
+    // Anything followed by '.', an exponent, or another letter takes the
+    // decimal path below.
     const char* p = start;
     if (*p == '-') ++p;
     const char* digits = p;
@@ -455,6 +505,23 @@ class Parser {
       pos_ += static_cast<std::size_t>(p - start);
       const double v = static_cast<double>(mag);
       return Json(*start == '-' ? -v : v);
+    }
+    // Plain decimal spellings ([-]digits[.digits][e[+-]digits], or a
+    // leading '.') go through from_chars, which is specified as strtod in
+    // the C locale: same value, same stopping point. Everything else strtod
+    // also accepts keeps strtod itself, so the grammar and every value bit
+    // stay as they were: hex ("0x1p3"), inf/nan spellings (from_chars
+    // gives nan(123) another payload), a leading '+' or whitespace, and
+    // values out of double's range (from_chars reports those without a
+    // value; strtod returns ±HUGE_VAL or the underflowed result).
+    const bool hex = digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X');
+    if (!hex && (ndigits > 0 || *digits == '.')) {
+      double v = 0.0;
+      const auto r = std::from_chars(start, text_.c_str() + text_.size(), v);
+      if (r.ec == std::errc()) {
+        pos_ += static_cast<std::size_t>(r.ptr - start);
+        return Json(v);
+      }
     }
     char* end = nullptr;
     const double v = std::strtod(start, &end);

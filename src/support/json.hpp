@@ -8,9 +8,9 @@
 //     a fixed shortest-round-trip rule, so a --jobs 8 run and a --jobs 1
 //     run of the same sweep produce identical files (the determinism test
 //     diffs the bytes);
-//   * lossless doubles: every finite double round-trips (printed with up to
-//     17 significant digits, shortest representation that parses back
-//     exactly); NaN/Inf have no JSON spelling and render as null;
+//   * lossless doubles: every finite double round-trips (printed as
+//     %.15g, %.16g or %.17g, whichever is the first to parse back exactly,
+//     via <charconv>); NaN/Inf have no JSON spelling and render as null;
 //   * no dependencies: a tagged union over the six JSON kinds, ~200 lines.
 #pragma once
 
@@ -100,12 +100,18 @@ class Json {
   /// arrays, strings with the standard escapes, numbers, booleans, null;
   /// \uXXXX escapes are accepted for code points below 0x80). Throws
   /// std::invalid_argument with a byte offset on malformed input. Numbers
-  /// parse with strtod, so every value printed by number_to_string
-  /// round-trips bit-exactly.
+  /// read as strtod reads them (plain decimals through std::from_chars,
+  /// which is specified to give strtod's value; hex, inf/nan and
+  /// out-of-range spellings through strtod itself), so every value printed
+  /// by number_to_string round-trips bit-exactly.
   static Json parse(const std::string& text);
 
  private:
   void write(std::string& out, int indent, int depth) const;
+  // number_to_string / quote appended straight onto `out`: dump() builds
+  // no temporary string per number, key or string value.
+  static void append_number(std::string& out, double v);
+  static void append_quoted(std::string& out, const std::string& s);
 
   Kind kind_;
   bool bool_ = false;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -135,6 +136,34 @@ TEST(Daemon, FragmentedSubmitAcrossTwoTcpWrites) {
   ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
   EXPECT_EQ(resp.at("op").as_string(), "SUBMIT");
   EXPECT_EQ(resp.at("id").as_number(), 1.0);
+}
+
+TEST(Daemon, PipelinedResponsesDoNotWaitForDelayedAck) {
+  // Two SUBMITs per write from a plain client (no TCP_QUICKACK): the
+  // second response is written while the first is still unacknowledged.
+  // With Nagle on the daemon's socket it would wait for the client's
+  // delayed ACK, up to 40 ms a round.
+  DaemonOptions opt;
+  opt.shards = 1;
+  DaemonHarness h(opt);
+  ASSERT_GT(h.port, 0);
+  LineClient c(h.port);
+  std::vector<double> round_ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    c.send(submit_line(0, 2 * i, 2.0 * i) + "\n" +
+           submit_line(0, 2 * i + 1, 2.0 * i + 1.0) + "\n");
+    for (int k = 0; k < 2; ++k) {
+      const Json resp = Json::parse(c.recv_line());
+      ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
+    }
+    round_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+  }
+  std::sort(round_ms.begin(), round_ms.end());
+  EXPECT_LT(round_ms[round_ms.size() / 2], 10.0)
+      << "median round " << round_ms[round_ms.size() / 2] << " ms";
 }
 
 TEST(Daemon, ManyFragmentsOneByteAtATime) {

@@ -6,11 +6,98 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 namespace sdem {
 namespace {
+
+// Frozen oracles: the number codec as it was before <charconv>, kept here
+// (not in libsdem) so the differential tests below pin every output byte
+// and every parsed bit to it.
+
+/// The printf/strtod formatter; `prec_out` receives the %g precision used
+/// (0 on the null and integer paths).
+std::string oracle_format(double v, int* prec_out = nullptr) {
+  if (prec_out) *prec_out = 0;
+  if (!std::isfinite(v)) return "null";
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  char buf[40];
+  int prec = 15;
+  for (; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  if (prec_out) *prec_out = prec;
+  return buf;
+}
+
+/// The strtod number reader: how many bytes of `s` it consumes (0 = no
+/// number) and the value read.
+struct OracleNumber {
+  std::size_t used = 0;
+  double value = 0.0;
+};
+OracleNumber oracle_number(const std::string& s) {
+  char* end = nullptr;
+  OracleNumber r;
+  r.value = std::strtod(s.c_str(), &end);
+  r.used = static_cast<std::size_t>(end - s.c_str());
+  return r;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+double from_bits(std::uint64_t b) {
+  double v;
+  std::memcpy(&v, &b, sizeof v);
+  return v;
+}
+
+/// Byte offset named by a parse error ("JSON parse error at byte N: ...").
+std::size_t error_offset(const std::invalid_argument& e) {
+  const char* at = std::strstr(e.what(), "byte ");
+  return at ? std::strtoul(at + 5, nullptr, 10) : std::string::npos;
+}
+
+/// Json::parse on a single number spelling agrees with the oracle: a
+/// spelling strtod reads whole parses to the same bits; one it reads in
+/// part fails as trailing characters at the same offset, and its consumed
+/// prefix parses to the same bits; one it cannot read fails at byte 0.
+void expect_parse_matches_oracle(const std::string& s) {
+  const OracleNumber want = oracle_number(s);
+  SCOPED_TRACE("spelling '" + s + "'");
+  if (want.used == s.size()) {
+    double got = 0.0;
+    ASSERT_NO_THROW(got = Json::parse(s).as_number());
+    EXPECT_EQ(bits_of(got), bits_of(want.value));
+    return;
+  }
+  try {
+    Json::parse(s);
+    ADD_FAILURE() << "parsed, but strtod reads " << want.used << " bytes";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(error_offset(e), want.used) << e.what();
+  }
+  if (want.used > 0) {
+    EXPECT_EQ(bits_of(Json::parse(s.substr(0, want.used)).as_number()),
+              bits_of(want.value));
+  }
+}
 
 TEST(Json, ScalarsRender) {
   EXPECT_EQ(Json().dump(), "null");
@@ -42,6 +129,145 @@ TEST(Json, DoublesRoundTripExactly) {
     double back = 0.0;
     ASSERT_EQ(std::sscanf(s.c_str(), "%lf", &back), 1) << s;
     EXPECT_EQ(back, v) << s;
+  }
+}
+
+TEST(JsonCodec, FormatMatchesOracleOnRandomBitPatterns) {
+  std::mt19937_64 rng(20150309);
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = from_bits(rng());
+    const std::string want = oracle_format(v);
+    const std::string got = Json::number_to_string(v);
+    if (got != want) {
+      FAIL() << "bits " << std::hex << bits_of(v) << ": '" << got
+             << "' vs oracle '" << want << "'";
+    }
+  }
+}
+
+TEST(JsonCodec, FormatMatchesOracleOnEveryPrecision) {
+  // Values of simulator scale (energies, times, speeds): these, unlike
+  // random bit patterns, need every one of 15, 16 and 17 digits, which the
+  // formatter's digit-count shortcut must get right.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  int seen[18] = {};
+  for (int i = 0; i < 300000; ++i) {
+    const double v = unit(rng) * std::pow(10.0, static_cast<int>(i % 13) - 6);
+    int prec = 0;
+    const std::string want = oracle_format(v, &prec);
+    ++seen[prec];
+    ASSERT_EQ(Json::number_to_string(v), want) << std::hex << bits_of(v);
+  }
+  EXPECT_GT(seen[15], 0);
+  EXPECT_GT(seen[16], 0);
+  EXPECT_GT(seen[17], 0);
+
+  // Named values needing exactly 15, 16 and 17 digits.
+  const struct {
+    double v;
+    int prec;
+  } named[] = {{0.1, 15}, {0.7999999999999999, 16}, {0.30000000000000004, 17}};
+  for (const auto& c : named) {
+    int prec = 0;
+    const std::string want = oracle_format(c.v, &prec);
+    EXPECT_EQ(prec, c.prec) << want;
+    EXPECT_EQ(Json::number_to_string(c.v), want);
+  }
+}
+
+TEST(JsonCodec, FormatMatchesOracleOnEdges) {
+  std::vector<double> values = {0.0, -0.0};
+  // Every power of two across the exponent range, subnormals included.
+  for (int e = -1074; e <= 1023; ++e) {
+    values.push_back(std::ldexp(1.0, e));
+    values.push_back(-std::ldexp(1.0, e));
+    values.push_back(std::ldexp(1.0, e) * 1.5);
+  }
+  // Subnormals: the extremes and a spread of mantissas.
+  values.push_back(std::numeric_limits<double>::denorm_min());
+  values.push_back(from_bits(0x000fffffffffffffULL));
+  values.push_back(9.14934969782825e-311);
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(from_bits(rng() & 0x800fffffffffffffULL));
+  }
+  // The integer fast path's edge and the %g exponent thresholds, with
+  // their neighbours on both sides.
+  for (double x : {1e15, 1e-5, 1e16, 1e17, 1e-4, 999999999999999.0,
+                   999999999999999.5, 1e15 + 2.0, 0.0001, 123456.789}) {
+    for (double y : {x, -x}) {
+      values.push_back(y);
+      values.push_back(std::nextafter(y, 0.0));
+      values.push_back(std::nextafter(y, 2 * y));
+    }
+  }
+  values.push_back(std::numeric_limits<double>::max());
+  values.push_back(std::numeric_limits<double>::min());
+  values.push_back(std::numeric_limits<double>::epsilon());
+  for (double v : values) {
+    ASSERT_EQ(Json::number_to_string(v), oracle_format(v))
+        << std::hex << bits_of(v);
+  }
+  EXPECT_EQ(Json::number_to_string(-0.0), "-0");
+  EXPECT_EQ(Json::number_to_string(1e15), "1e+15");
+  EXPECT_EQ(Json::number_to_string(999999999999999.0), "999999999999999");
+  EXPECT_EQ(Json::number_to_string(1e-5), "1e-05");
+  EXPECT_EQ(Json::number_to_string(1e16), "1e+16");
+  EXPECT_EQ(Json::number_to_string(9.14934969782825e-311),
+            "9.14934969782825e-311");
+}
+
+TEST(JsonCodec, DumpWritesTheWrapperBytes) {
+  Json doc = Json::object();
+  doc.set("k\n", 1.0 / 3.0);
+  doc.set("s", "a\"b");
+  EXPECT_EQ(doc.dump(), "{" + Json::quote("k\n") + ": " +
+                            oracle_format(1.0 / 3.0) + ", \"s\": " +
+                            Json::quote("a\"b") + "}");
+  EXPECT_EQ(Json::quote("a\"b"), "\"a\\\"b\"");
+}
+
+TEST(JsonCodec, ParseMatchesStrtodOnSpellings) {
+  const char* spellings[] = {
+      "0x1p3",  "-0x1p-2", "inf",      "-Infinity", "-nan(123)", "-nan",
+      "1e999",  "-1e999",  "1e-400",   "4.9e-324",  ".5",        "1.",
+      "1e",     "1e5x",    "+1",       "00012.5",   "-.5",       "-",
+      ".",      "-.",      "1e+",      "1e-5",      "0X1P-3",    "0x",
+      "-0",     "-0.0",    "1.5e308",  "2.2250738585072011e-308",
+      "123456789012345678901234567890", "1234567890123456", "0.1e1e1",
+      "1..5",   "1e5.5",   "2.5E-3",   "-00.000", "9007199254740993"};
+  for (const char* s : spellings) expect_parse_matches_oracle(s);
+  // nan(123) starts a literal, not a number: both readers refuse it the
+  // same way, before any number parsing.
+  EXPECT_THROW(Json::parse("nan(123)"), std::invalid_argument);
+  // NaN payloads survive: strtod's payload, not a default quiet NaN.
+  const double nan_payload = Json::parse("-nan(123)").as_number();
+  EXPECT_EQ(bits_of(nan_payload), bits_of(std::strtod("-nan(123)", nullptr)));
+}
+
+TEST(JsonCodec, ParseMatchesStrtodOnRandomSpellings) {
+  // Short strings over the decimal alphabet: every stopping point strtod
+  // has (a dangling exponent, a second '.', a sign in the middle).
+  std::mt19937_64 rng(3);
+  const char alphabet[] = "0123456789-+.eE";
+  for (int i = 0; i < 100000; ++i) {
+    std::string s;
+    const int len = 1 + static_cast<int>(rng() % 24);
+    for (int k = 0; k < len; ++k) s += alphabet[rng() % (sizeof alphabet - 1)];
+    if (s[0] == '+') continue;  // not a number start for the parser
+    expect_parse_matches_oracle(s);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(JsonCodec, ParseReadsFormattedValuesBack) {
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 200000; ++i) {
+    const double v = from_bits(rng());
+    if (!std::isfinite(v)) continue;
+    const std::string s = Json::number_to_string(v);
+    ASSERT_EQ(bits_of(Json::parse(s).as_number()), bits_of(v)) << s;
   }
 }
 

@@ -1,12 +1,15 @@
 // Tests for the Section 7 transition-overhead scheme.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/common_release_alpha.hpp"
 #include "core/common_release_alpha0.hpp"
 #include "core/reference.hpp"
 #include "core/transition.hpp"
+#include "obs/obs.hpp"
 #include "sched/validate.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
@@ -145,6 +148,65 @@ TEST(Transition, SchedulesAreFeasible) {
     const auto v = validate_schedule(res.schedule, ts, cfg);
     EXPECT_TRUE(v.ok) << v.error << " seed " << seed;
   }
+}
+
+// Probe accounting: every probe splits its n task terms into live
+// evaluations and cached replays, by the live set of the piece it searches
+// (not by how far the left-to-right cap ratchet got). xi > 0 keeps every
+// task off the race-certified cache, so a task is cached on a piece iff its
+// window is deadline-capped there: window_cap <= the piece's lower edge.
+TEST(Transition, ProbeCountersFollowEachSearchedPiece) {
+  if (!obs::compiled()) GTEST_SKIP() << "built with SDEM_OBS=0";
+  TaskSet ts;
+  const double deadlines[] = {0.040, 0.060, 0.090, 0.120, 0.160, 0.200};
+  for (int i = 0; i < 6; ++i) ts.add(task(i, 0.0, deadlines[i], 6.0 + i));
+  const std::uint64_t n = ts.size();
+
+  struct Counts {
+    std::uint64_t probes, live, cached, live_min, live_max;
+  };
+  const auto solve = [&](double alpha, double alpha_m) {
+    obs::Registry::instance().reset();
+    TransitionWorkspace ws;
+    const auto cfg = with_overheads(alpha, alpha_m, 0.002, 0.040);
+    EXPECT_TRUE(solve_common_release_transition(ts, cfg, ws, false).feasible);
+    const obs::Snapshot snap = obs::Registry::instance().snapshot();
+    const auto get = [&snap](const char* name) -> std::uint64_t {
+      const std::uint64_t* c = snap.counter(name);
+      return c ? *c : 0;
+    };
+    Counts c{get("transition/probes"), get("transition/task_evals_live"),
+             get("transition/task_evals_cached"), n, 0};
+    for (const auto& pc : ws.searched) {
+      std::uint64_t piece_live = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        piece_live += ws.window_cap[k] > ws.edges[pc.idx];
+      }
+      c.live_min = std::min(c.live_min, piece_live);
+      c.live_max = std::max(c.live_max, piece_live);
+    }
+    return c;
+  };
+
+  // Expensive memory: every searched piece lies left of the first
+  // deadline, while the ratchet caps five tasks on later pieces. Every
+  // task is live in every probe.
+  const Counts left = solve(0.31, 4.0);
+  ASSERT_GT(left.probes, 1u);
+  EXPECT_EQ(left.live_min, n);
+  EXPECT_EQ(left.live, n * left.probes);
+  EXPECT_EQ(left.cached, 0u);
+
+  // Cheap memory, costly cores: the search reaches pieces past most caps.
+  // The full-objective probe at H counts n live; each piece probe counts
+  // its own live set, which lies between the smallest and largest.
+  const Counts right = solve(3.0, 0.01);
+  const std::uint64_t piece_probes = right.probes - 1;
+  EXPECT_LT(right.live_min, right.live_max);
+  EXPECT_EQ(right.live + right.cached, n * right.probes);
+  EXPECT_GE(right.live - n, right.live_min * piece_probes);
+  EXPECT_LE(right.live - n, right.live_max * piece_probes);
+  EXPECT_GT(right.cached, 0u);
 }
 
 }  // namespace
