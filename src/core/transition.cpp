@@ -30,6 +30,17 @@ struct SolveConsts {
   double s_m = 0.0;       ///< critical_speed_raw(): one pow per solve
   double s_up = 0.0;      ///< max_speed()
   double fill_cap = 0.0;  ///< max_speed() * (1 + 1e-12)
+  /// Race certificate: a window fill at or below it makes the race
+  /// candidate the certain winner, so a probe returns race_cost without a
+  /// pow. min(s_m, s_up) * (1 - 1e-5) when the core tail is free and
+  /// s_m > 0, -1 (never) otherwise; see solve_common_release_transition.
+  double cert_speed = -1.0;
+};
+
+/// Probe-path tallies of task_cost_ctx, kept only for probes of E(T).
+struct ProbeTally {
+  std::uint64_t certified = 0;     ///< answered by the race certificate
+  std::uint64_t race_skipped = 0;  ///< race candidate bit-equal to stretch
 };
 
 /// CorePower::exec_energy with the config reads hoisted; identical
@@ -44,17 +55,25 @@ inline double exec_energy_c(const SolveConsts& sc, double work, double s) {
 /// While the window fill stays at or below the critical speed the race
 /// candidate's speed clamp resolves to min(s_m, s_up) independently of the
 /// window, so its cost is the per-solve constant race_cost; only windows
-/// tighter than w/s_m ("overloaded") still pay a pow here. Bit-identical to
-/// the Task-based function above.
+/// tighter than w/s_m ("overloaded") still pay a pow here, and a fill under
+/// the race certificate pays none. Bit-identical to the Task-based function
+/// above.
 inline double task_cost_ctx(const SolveConsts& sc, double work,
                             double race_run, double race_cost, double window,
-                            double& run, double& speed) {
+                            double& run, double& speed,
+                            ProbeTally* tally = nullptr) {
   run = 0.0;
   speed = 0.0;
   if (work <= 0.0) return 0.0;
   if (window <= 0.0) return kInf;
   const double fill = work / window;
   if (fill > sc.fill_cap) return kInf;
+  if (fill <= sc.cert_speed) {
+    if (tally) ++tally->certified;
+    run = race_run;
+    speed = work / race_run;
+    return race_cost;
+  }
 
   // Candidate 1: stretch to the window (the execution speed is the fill).
   double best_run = window;
@@ -67,10 +86,16 @@ inline double task_cost_ctx(const SolveConsts& sc, double work,
       r = race_run;
       c = race_cost;
     } else {
-      const double s_race = std::min(fill, sc.s_up);
-      r = work / s_race;
-      c = exec_energy_c(sc, work, work / r) +
-          tail_cost(sc.alpha, sc.H - r, sc.xi);
+      r = work / std::min(fill, sc.s_up);
+      if (r == window) {
+        // Racing at the fill is stretching: the operands are the stretch
+        // candidate's bit for bit, so c == best cannot win the strict `<`.
+        if (tally) ++tally->race_skipped;
+        c = best;
+      } else {
+        c = exec_energy_c(sc, work, work / r) +
+            tail_cost(sc.alpha, sc.H - r, sc.xi);
+      }
     }
     if (c < best) {
       best = c;
@@ -145,6 +170,20 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   sc.s_m = cfg.core.critical_speed_raw();
   sc.s_up = cfg.core.max_speed();
   sc.fill_cap = cfg.core.max_speed() * (1.0 + 1e-12);
+  // Race certificate. With free core tails (no static power or zero
+  // break-even) both candidates cost their exec energy alone, and that is
+  // convex in the speed with its minimum at s_m. The race candidate runs
+  // at s* = min(s_m, s_up); once the window fill sits below s* by a
+  // relative margin, the stretch candidate's excess over it is at least
+  // second order in the margin (~1e-10 relative), dwarfing the few-ulp
+  // rounding of either side, so `c < best` picks the race with certainty
+  // and the probe can return the cached race_cost without its pow. The
+  // bound must sit under s_up too: with s_m > s_up, a fill a hair above
+  // s_up (inside the fill_cap slack) is cheaper than the race at s_up.
+  const bool tail_free = sc.alpha <= 0.0 || sc.xi <= 0.0;
+  if (tail_free && sc.s_m > 0.0) {
+    sc.cert_speed = std::min(sc.s_m, sc.s_up) * (1.0 - 1e-5);
+  }
   const double alpha = sc.alpha;
   const double alpha_m = cfg.memory.alpha_m;
   const double xi_m = cfg.memory.xi_m;
@@ -194,6 +233,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
                 std::uint64_t obs_replay = 0; std::uint64_t obs_pieces = 0;
                 std::uint64_t obs_pruned = 0; std::uint64_t obs_cap_dl = 0;
                 std::uint64_t obs_cap_race = 0;)
+  ProbeTally tally;  // probe-path certificate hits and skipped candidates
 
   // Total energy as a function of the memory busy end T.
   auto energy = [&](double T) {
@@ -203,7 +243,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
     for (std::size_t k = 0; k < n; ++k) {
       double run = 0.0, speed = 0.0;
       e += task_cost_ctx(sc, ws.work[k], ws.race_run[k], ws.race_cost[k],
-                         std::min(T, ws.window_cap[k]), run, speed);
+                         std::min(T, ws.window_cap[k]), run, speed, &tally);
       if (!std::isfinite(e)) return kInf;
     }
     return e;
@@ -265,21 +305,11 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   // memory term grows with T and the exec floor really is a floor
   // (lambda > 1).
   const bool can_prune = alpha_m >= 0.0 && lambda > 1.0;
-  // With free core tails (no static power or zero break-even) the race
-  // candidate's total is its exec energy at the critical speed — the exact
-  // minimum of the convex exec curve — so once the window fill sits below
-  // s_m by a certified relative margin, the stretch candidate loses the
-  // `c < best` comparison with certainty: the true-value gap is
-  // ~(margin)^2 relative (convexity), dwarfing the few-ulp rounding error
-  // of either side. The task's probe value is then the cached race_cost.
-  const bool tail_free = sc.alpha <= 0.0 || sc.xi <= 0.0;
-  constexpr double kCertMargin = 1e-5;  // gap ~1e-10 rel vs ~1e-15 rounding
-  const double cert_speed = sc.s_m * (1.0 - kCertMargin);
 
   // Per-piece, per-task probe mode. 0 = evaluate live; nonzero = the cost is
   // T-independent on this and every later piece and capped_cost replays it:
   //   1 = window capped by the deadline (cap <= lo),
-  //   2 = certified race winner (fill <= cert_speed across the piece).
+  //   2 = certified race winner (fill <= sc.cert_speed across the piece).
   // Both conditions are monotone in lo, so modes only ever ratchet up.
   ws.capped.assign(n, 0);
   ws.capped_cost.assign(n, 0.0);
@@ -307,8 +337,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
         ws.probe_cost[k] = 0.0;
       } else if (ws.window_cap[k] <= lo) {
         ws.probe_cost[k] = ws.capped_cost[k];
-      } else if (tail_free && sc.s_m > 0.0 && lo > 0.0 &&
-                 ws.work[k] / lo <= cert_speed) {
+      } else if (lo > 0.0 && ws.work[k] / lo <= sc.cert_speed) {
         ws.probe_cost[k] = ws.race_cost[k];
       } else {
         ws.live.push_back(static_cast<std::uint32_t>(k));
@@ -330,7 +359,7 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
       double run = 0.0, speed = 0.0;
       ws.probe_cost[k] =
           task_cost_ctx(sc, ws.work[k], ws.race_run[k], ws.race_cost[k],
-                        std::min(T, ws.window_cap[k]), run, speed);
+                        std::min(T, ws.window_cap[k]), run, speed, &tally);
     }
     for (std::size_t k = 0; k < n; ++k) {
       e += ws.probe_cost[k];
@@ -342,10 +371,22 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   double best_T = H;
   double best = energy(H);
   // Pass 1, left to right: ratchet the capped caches exactly as the line
-  // searches would have seen them and record each piece's lower bound —
-  // the memory terms at their piece minima (alpha_m*T at lo; the tail is
-  // nonincreasing in T, so at hi), the exact T-independent cost for cached
-  // tasks, the convexity floor for live ones.
+  // searches would have seen them and record each piece's lower bound, term
+  // by term, each a floor of that term over the piece up to a few ulp:
+  //   * memory: alpha_m T + min(alpha_m (H-T), alpha_m xi_m) =
+  //     min(alpha_m H, alpha_m (T + xi_m)) is nondecreasing in T, so its
+  //     value at lo;
+  //   * cached tasks: their exact T-independent cost;
+  //   * live tasks whose cost is nonincreasing in the window over the
+  //     piece: the cost at the piece's widest window min(hi, cap). Below
+  //     the critical speed faster is cheaper, so this holds wherever the
+  //     fill stays at or above s_m (w >= s_m min(hi, cap): both candidates
+  //     are the stretch, whose exec and tail both fall as the window
+  //     grows); with s_m <= 0 (no race: exec rises with the speed, no
+  //     static tail); and with s_m >= s_up (the race at s_up is the
+  //     stretch to w/s_up, and stretching further only costs more, so the
+  //     cost is the constant race_cost);
+  //   * other live tasks: the convexity floor cost_floor.
   ws.piece_lb.assign(edges.size(), 0.0);  // indexed by lower-edge position
   ws.piece_order.clear();
   for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
@@ -359,8 +400,8 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
                           ws.window_cap[k], run, speed);
         SDEM_OBS_ONLY(++obs_cap_dl;)
         ws.capped[k] = 1;
-      } else if (ws.capped[k] == 0 && tail_free && sc.s_m > 0.0 && lo > 0.0 &&
-                 ws.work[k] / lo <= cert_speed) {
+      } else if (ws.capped[k] == 0 && lo > 0.0 &&
+                 ws.work[k] / lo <= sc.cert_speed) {
         ws.capped_cost[k] = ws.race_cost[k];
         ws.capped[k] = 2;
         SDEM_OBS_ONLY(++obs_cap_race;)
@@ -369,10 +410,21 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
     SDEM_OBS_ONLY(++obs_pieces;)
     double lb = -kInf;
     if (can_prune) {
-      lb = alpha_m * lo;
-      lb += tail_cost(alpha_m, H - hi, xi_m);
+      lb = alpha_m * lo + tail_cost(alpha_m, H - lo, xi_m);
       for (std::size_t k = 0; k < n; ++k) {
-        lb += ws.capped[k] ? ws.capped_cost[k] : ws.cost_floor[k];
+        if (ws.capped[k]) {
+          lb += ws.capped_cost[k];
+          continue;
+        }
+        const double widest = std::min(hi, ws.window_cap[k]);
+        if (sc.s_m <= 0.0 || sc.s_m >= sc.s_up ||
+            ws.work[k] >= sc.s_m * widest) {
+          double run = 0.0, speed = 0.0;
+          lb += task_cost_ctx(sc, ws.work[k], ws.race_run[k],
+                              ws.race_cost[k], widest, run, speed);
+        } else {
+          lb += ws.cost_floor[k];
+        }
       }
     }
     ws.piece_order.push_back(static_cast<std::uint32_t>(i));
@@ -388,18 +440,25 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   // the left-to-right scan resolves such ties by first arrival. So this
   // pass only records each searched piece's three candidates, and the
   // incumbent fold below replays them in left-to-right order with the
-  // original strict `<`. Skipped pieces cannot affect that fold: their
-  // probes sit above lb minus a few ulp, and the 1e-12 shave is orders of
+  // original strict `<`. Skipped pieces cannot affect that fold: each term
+  // of lb floors its term over the piece up to a few ulp (pass 1), so
+  // their probes sit above lb minus a few ulp, and the 1e-12 shave is orders of
   // magnitude wider, so every skipped candidate is strictly above the
   // final best — bit-identical results, piece count independent. Exotic
   // parameter sets (can_prune false: the floors don't hold) keep every
   // bound at -inf, which keeps the left-to-right order and searches every
-  // piece.
+  // piece. The order is a stable insertion sort by bound: a solve has few
+  // pieces, and std::stable_sort would allocate its buffer every solve.
   if (can_prune) {
-    std::stable_sort(ws.piece_order.begin(), ws.piece_order.end(),
-                     [&](std::uint32_t x, std::uint32_t y) {
-                       return ws.piece_lb[x] < ws.piece_lb[y];
-                     });
+    auto& order = ws.piece_order;
+    for (std::size_t a = 1; a < order.size(); ++a) {
+      const std::uint32_t x = order[a];
+      std::size_t b = a;
+      for (; b > 0 && ws.piece_lb[x] < ws.piece_lb[order[b - 1]]; --b) {
+        order[b] = order[b - 1];
+      }
+      order[b] = x;
+    }
   }
   ws.searched.clear();
   double best_seen = best;  // value-only incumbent for the stop test
@@ -442,6 +501,8 @@ OfflineResult solve_common_release_transition(const TaskSet& tasks,
   SDEM_OBS_COUNT("transition/probes", obs_probes);
   SDEM_OBS_COUNT("transition/task_evals_live", obs_live);
   SDEM_OBS_COUNT("transition/task_evals_cached", obs_replay);
+  SDEM_OBS_COUNT("transition/task_evals_certified", tally.certified);
+  SDEM_OBS_COUNT("transition/race_candidates_skipped", tally.race_skipped);
   SDEM_OBS_COUNT("transition/pieces", obs_pieces);
   SDEM_OBS_COUNT("transition/pieces_pruned", obs_pruned);
   SDEM_OBS_COUNT("transition/tasks_capped_deadline", obs_cap_dl);

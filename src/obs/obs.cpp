@@ -151,20 +151,6 @@ void Registry::reset() {
 
 namespace {
 
-DistValue to_value(const DistCell& cell) {
-  DistValue v;
-  v.count = cell.count;
-  v.sum_fx = cell.sum_fx;
-  v.min = cell.min;
-  v.max = cell.max;
-  for (int i = 0; i < kDistBuckets; ++i) {
-    if (cell.buckets[i] > 0) {
-      v.buckets.emplace_back(i == 0 ? -9999 : i - 64, cell.buckets[i]);
-    }
-  }
-  return v;
-}
-
 void merge_dist(DistValue& into, const DistCell& cell) {
   if (cell.count == 0) return;
   if (into.count == 0 || cell.min < into.min) into.min = cell.min;

@@ -19,16 +19,21 @@ namespace {
 
 constexpr double kInfRef = std::numeric_limits<double>::infinity();
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Section 7 solver (transition overheads), original form.
 // ---------------------------------------------------------------------------
 namespace ref_transition {
+namespace {
 
 double tail_cost(double static_power, double gap, double break_even) {
   if (gap <= 0.0 || static_power <= 0.0) return 0.0;
   if (break_even <= 0.0) return 0.0;
   return std::min(static_power * gap, static_power * break_even);
 }
+
+}  // namespace
 
 OfflineResult solve(const TaskSet& tasks, const SystemConfig& cfg) {
   OfflineResult res;
@@ -130,6 +135,8 @@ OfflineResult solve(const TaskSet& tasks, const SystemConfig& cfg) {
 }
 
 }  // namespace ref_transition
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Section 4.1 solver (alpha == 0), original form (linear case scan).

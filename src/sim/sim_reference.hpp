@@ -10,10 +10,18 @@
 #include <string>
 #include <vector>
 
+#include "core/result.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/policy.hpp"
 
 namespace sdem {
+
+namespace ref_transition {
+/// solve_common_release_transition as originally written: std::set
+/// breakpoints, a full golden-section search of every piece, the
+/// Task-based transition_task_cost at every probe.
+OfflineResult solve(const TaskSet& tasks, const SystemConfig& cfg);
+}  // namespace ref_transition
 
 /// SDEM-ON as originally written: virtual task set, effective-deadline and
 /// duration std::maps rebuilt every replan, map-driven per-core EDF groups.

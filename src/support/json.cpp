@@ -485,48 +485,43 @@ class Parser {
     }
   }
 
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  /// RFC 8259 numbers only: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
+  /// Hex, inf/nan, a leading '+' or '.', a trailing '.' and leading zeros
+  /// are parse errors.
   Json number() {
     const char* start = text_.c_str() + pos_;
-    // Fast path: a plain integer of up to 15 digits is exactly
-    // representable, so composing it directly matches strtod bit for bit.
-    // Anything followed by '.', an exponent, or another letter takes the
-    // decimal path below.
     const char* p = start;
     if (*p == '-') ++p;
     const char* digits = p;
     std::uint64_t mag = 0;
-    while (*p >= '0' && *p <= '9') {
+    while (is_digit(*p)) {
       mag = mag * 10 + static_cast<std::uint64_t>(*p - '0');
       ++p;
     }
     const std::size_t ndigits = static_cast<std::size_t>(p - digits);
-    if (ndigits > 0 && ndigits <= 15 && *p != '.' &&
-        !((*p >= 'a' && *p <= 'z') || (*p >= 'A' && *p <= 'Z'))) {
+    if (ndigits == 0) fail("expected value");
+    if (*digits == '0' && ndigits > 1) fail("leading zero in number");
+    if (*p == '.' && !is_digit(p[1])) fail("expected digit after '.'");
+    // A plain integer of up to 15 digits is exactly representable, so
+    // composing it directly matches strtod bit for bit.
+    if (ndigits <= 15 && *p != '.' && *p != 'e' && *p != 'E') {
       pos_ += static_cast<std::size_t>(p - start);
       const double v = static_cast<double>(mag);
       return Json(*start == '-' ? -v : v);
     }
-    // Plain decimal spellings ([-]digits[.digits][e[+-]digits], or a
-    // leading '.') go through from_chars, which is specified as strtod in
-    // the C locale: same value, same stopping point. Everything else strtod
-    // also accepts keeps strtod itself, so the grammar and every value bit
-    // stay as they were: hex ("0x1p3"), inf/nan spellings (from_chars
-    // gives nan(123) another payload), a leading '+' or whitespace, and
-    // values out of double's range (from_chars reports those without a
-    // value; strtod returns ±HUGE_VAL or the underflowed result).
-    const bool hex = digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X');
-    if (!hex && (ndigits > 0 || *digits == '.')) {
-      double v = 0.0;
-      const auto r = std::from_chars(start, text_.c_str() + text_.size(), v);
-      if (r.ec == std::errc()) {
-        pos_ += static_cast<std::size_t>(r.ptr - start);
-        return Json(v);
-      }
+    // With the integer part and the '.' checked, from_chars reads exactly
+    // the rest of the grammar (an exponent only with digits), and it is
+    // specified as strtod in the C locale: same value bits. Values out of
+    // double's range it reports without a value; strtod decides those
+    // (±HUGE_VAL or the underflowed result) on the same span.
+    double v = 0.0;
+    const auto r = std::from_chars(start, text_.c_str() + text_.size(), v);
+    if (r.ec != std::errc()) {
+      v = std::strtod(std::string(start, r.ptr).c_str(), nullptr);
     }
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    if (end == start) fail("expected value");
-    pos_ += static_cast<std::size_t>(end - start);
+    pos_ += static_cast<std::size_t>(r.ptr - start);
     return Json(v);
   }
 

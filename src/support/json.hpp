@@ -100,10 +100,11 @@ class Json {
   /// arrays, strings with the standard escapes, numbers, booleans, null;
   /// \uXXXX escapes are accepted for code points below 0x80). Throws
   /// std::invalid_argument with a byte offset on malformed input. Numbers
-  /// read as strtod reads them (plain decimals through std::from_chars,
-  /// which is specified to give strtod's value; hex, inf/nan and
-  /// out-of-range spellings through strtod itself), so every value printed
-  /// by number_to_string round-trips bit-exactly.
+  /// must follow the RFC 8259 grammar (no hex, inf/nan, leading '+' or
+  /// '.', trailing '.' or leading zeros); they read to strtod's value
+  /// (std::from_chars, which is specified to give it; strtod itself for
+  /// out-of-range values), so every value printed by number_to_string
+  /// round-trips bit-exactly.
   static Json parse(const std::string& text);
 
  private:

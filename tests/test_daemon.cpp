@@ -199,6 +199,25 @@ TEST(Daemon, MalformedLineAnsweredInOrder) {
   EXPECT_EQ(r3.at("id").as_number(), 3.0);
 }
 
+TEST(Daemon, NonJsonNumberSpellingRejected) {
+  // A hex field is not a JSON number: the SUBMIT is answered ok:false and
+  // the connection keeps serving the next line.
+  DaemonOptions opt;
+  opt.shards = 2;
+  DaemonHarness h(opt);
+  LineClient c(h.port);
+  c.send(
+      "{\"op\":\"SUBMIT\",\"island\":0,\"task\":{\"id\":1,\"release\":0x0,"
+      "\"deadline\":1,\"work\":0.05}}\n" +
+      submit_line(0, 2, 0.0) + "\n");
+  const Json r1 = Json::parse(c.recv_line());
+  const Json r2 = Json::parse(c.recv_line());
+  EXPECT_FALSE(r1.at("ok").as_bool()) << r1.dump(0);
+  EXPECT_NE(r1.find("error"), nullptr);
+  EXPECT_TRUE(r2.at("ok").as_bool()) << r2.dump(0);
+  EXPECT_EQ(r2.at("id").as_number(), 2.0);
+}
+
 TEST(Daemon, PerConnectionOrderWithTwoAcceptors) {
   // Two pipelined connections, round-robined onto two acceptors, each
   // submitting to its own island: every connection must see its own

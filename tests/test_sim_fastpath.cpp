@@ -19,6 +19,7 @@
 #include "sim/event_sim.hpp"
 #include "sim/metrics.hpp"
 #include "sim/sim_reference.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 #include "workload/dspstone.hpp"
 #include "workload/generator.hpp"
@@ -95,8 +96,10 @@ std::vector<std::pair<std::string, SystemConfig>> make_cfgs() {
   return out;
 }
 
-void check_trace(const TaskSet& ts, const std::string& trace) {
-  for (const auto& [cfg_name, cfg] : make_cfgs()) {
+void check_trace(const TaskSet& ts, const std::string& trace,
+                 const std::vector<std::pair<std::string, SystemConfig>>&
+                     cfgs = make_cfgs()) {
+  for (const auto& [cfg_name, cfg] : cfgs) {
     for (auto& p : make_pairs()) {
       const std::string what = trace + "/" + cfg_name + "/" + p.label;
       expect_same_result(simulate(ts, cfg, *p.fast),
@@ -131,6 +134,24 @@ TEST(SimFastpath, SyntheticMatchesReference) {
     SyntheticParams p;
     p.num_tasks = 80;
     check_trace(make_synthetic(p, seed), "synthetic-" + std::to_string(seed));
+  }
+}
+
+TEST(SimFastpath, TransitionFamiliesMatchReference) {
+  // Every branch of the Section 7 solver behind SDEM-ON, on 40-task streams
+  // dense enough to keep several tasks pending per replan.
+  Xoshiro256 rng(14);
+  for (int round = 0; round < 6; ++round) {
+    for (const auto& fam : test::transition_families(rng)) {
+      SyntheticParams p;
+      p.num_tasks = 40;
+      p.region_lo = fam.region_lo;
+      p.region_hi = fam.region_hi;
+      p.max_interarrival = rng.uniform(0.005, 0.050);
+      check_trace(make_synthetic(p, rng()),
+                  fam.name + "-" + std::to_string(round),
+                  {{fam.name, fam.cfg}});
+    }
   }
 }
 

@@ -11,6 +11,8 @@
 #include "core/transition.hpp"
 #include "obs/obs.hpp"
 #include "sched/validate.hpp"
+#include "sim/sim_reference.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
 
@@ -207,6 +209,67 @@ TEST(Transition, ProbeCountersFollowEachSearchedPiece) {
   EXPECT_GE(right.live - n, right.live_min * piece_probes);
   EXPECT_LE(right.live - n, right.live_max * piece_probes);
   EXPECT_GT(right.cached, 0u);
+}
+
+/// The solver and its frozen original (sim/sim_reference.cpp) agree bit for
+/// bit: feasibility, energy, sleep time and every segment field.
+void expect_matches_frozen(const OfflineResult& got,
+                           const OfflineResult& want) {
+  ASSERT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.energy, want.energy);
+  EXPECT_EQ(got.sleep_time, want.sleep_time);
+  const auto& gs = got.schedule.segments();
+  const auto& rs = want.schedule.segments();
+  ASSERT_EQ(gs.size(), rs.size());
+  for (std::size_t i = 0; i < gs.size(); ++i) {
+    EXPECT_EQ(gs[i].task_id, rs[i].task_id) << "seg " << i;
+    EXPECT_EQ(gs[i].core, rs[i].core) << "seg " << i;
+    EXPECT_EQ(gs[i].start, rs[i].start) << "seg " << i;
+    EXPECT_EQ(gs[i].end, rs[i].end) << "seg " << i;
+    EXPECT_EQ(gs[i].speed, rs[i].speed) << "seg " << i;
+  }
+}
+
+// A deadline that asks for a hair above s_up (inside the 1e-12 admission
+// slack), with a free core tail. Under s_m > s_up faster is cheaper, so
+// the stretch to the deadline beats the race at s_up: the race certificate
+// must not claim this task. Under s_m < s_up slower is cheaper, so the race
+// at s_up wins and runs past the deadline by that hair: its candidate is
+// not the stretch, and must be evaluated.
+TEST(Transition, TightDeadlineAboveSupMatchesFrozenSolver) {
+  for (const double alpha : {10.0, 0.31}) {
+    SCOPED_TRACE("alpha " + std::to_string(alpha));
+    const auto cfg = with_overheads(alpha, 4.0, 0.0, 0.040);
+    TaskSet ts;
+    ts.add(task(0, 0.0, 3.8 / (1900.0 * (1.0 + 5e-13)), 3.8));
+    ts.add(task(1, 0.0, 0.050, 2.0));
+    const auto want = ref_transition::solve(ts, cfg);
+    ASSERT_TRUE(want.feasible);
+    const double end0 = want.schedule.segments().at(0).end;
+    if (alpha > 1.0) {
+      EXPECT_EQ(end0, ts[0].deadline);
+    } else {
+      EXPECT_GT(end0, ts[0].deadline);
+    }
+    expect_matches_frozen(solve_common_release_transition(ts, cfg), want);
+  }
+}
+
+// Random common-release sets in every config family, through one workspace
+// reused across solves as the online policy reuses it.
+TEST(Transition, MatchesFrozenSolverBitForBit) {
+  Xoshiro256 rng(14);
+  TransitionWorkspace ws;
+  for (int round = 0; round < 40; ++round) {
+    for (const auto& fam : test::transition_families(rng)) {
+      const int n = static_cast<int>(rng.uniform_int(1, 24));
+      const TaskSet ts = make_common_release(n, 0.0, rng(), 2.0, 5.0,
+                                             fam.region_lo, fam.region_hi);
+      SCOPED_TRACE(fam.name + " round " + std::to_string(round));
+      expect_matches_frozen(solve_common_release_transition(ts, fam.cfg, ws),
+                            ref_transition::solve(ts, fam.cfg));
+    }
+  }
 }
 
 }  // namespace
