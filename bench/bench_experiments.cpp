@@ -2217,77 +2217,70 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
 }  // namespace
 
 void register_all_experiments(std::vector<Experiment>& out) {
-  out.push_back({"fig6a", "Fig. 6a", "bench_fig6a_memory_saving",
+  out.push_back({"fig6a", "Fig. 6a",
                  "memory static-energy saving vs U (DSPstone)", 10,
                  [](const RunOptions& o) { return run_fig6(o, true); }});
-  out.push_back({"fig6b", "Fig. 6b", "bench_fig6b_system_saving",
+  out.push_back({"fig6b", "Fig. 6b",
                  "system-wide energy saving vs U (DSPstone)", 10,
                  [](const RunOptions& o) { return run_fig6(o, false); }});
-  out.push_back({"fig7a", "Fig. 7a", "bench_fig7a_alpham_sweep",
+  out.push_back({"fig7a", "Fig. 7a",
                  "saving improvement over alpha_m x x (synthetic)", 10,
                  [](const RunOptions& o) { return run_fig7(o, true); }});
-  out.push_back({"fig7b", "Fig. 7b", "bench_fig7b_xim_sweep",
+  out.push_back({"fig7b", "Fig. 7b",
                  "saving improvement over xi_m x x (synthetic)", 10,
                  [](const RunOptions& o) { return run_fig7(o, false); }});
-  out.push_back({"table4", "Table 4", "bench_table4_grid",
+  out.push_back({"table4", "Table 4",
                  "parameter grid and the default operating point", 10,
                  [](const RunOptions& o) { return run_table4(o); }});
-  out.push_back({"table1", "Table 1", "bench_table1_complexity",
-                 "runtime scaling of the SDEM schemes", 1,
+  out.push_back({"table1", "Table 1", "runtime scaling of the SDEM schemes", 1,
                  [](const RunOptions& o) { return run_table1(o); }});
-  out.push_back({"ablation_blocks", "§5 ablation", "bench_ablation_blocks",
+  out.push_back({"ablation_blocks", "§5 ablation",
                  "block DP vs degenerate partitions over task spread", 8,
                  [](const RunOptions& o) { return run_ablation_blocks(o); }});
-  out.push_back({"online_vs_offline", "§6 ratio", "bench_online_vs_offline",
+  out.push_back({"online_vs_offline", "§6 ratio",
                  "empirical competitive ratio vs the agreeable DP", 12,
                  [](const RunOptions& o) { return run_online_vs_offline(o); }});
-  out.push_back({"policy_poles", "title question", "bench_policy_poles",
+  out.push_back({"policy_poles", "title question",
                  "race / stretch / critical / MBKPS / SDEM-ON across x", 10,
                  [](const RunOptions& o) { return run_policy_poles(o); }});
-  out.push_back({"islands", "future work", "bench_islands",
+  out.push_back({"islands", "future work",
                  "voltage-island granularity vs per-core rails", 20,
                  [](const RunOptions& o) { return run_islands(o); }});
-  out.push_back({"contention", "§3 assumption", "bench_contention",
+  out.push_back({"contention", "§3 assumption",
                  "controller contention under SDEM-ON's alignment", 10,
                  [](const RunOptions& o) { return run_contention(o); }});
-  out.push_back({"dram_abstraction", "§3 substrate", "bench_dram_abstraction",
+  out.push_back({"dram_abstraction", "§3 substrate",
                  "DRAM power-state machine vs the (alpha_m, xi_m) model", 10,
                  [](const RunOptions& o) { return run_dram_abstraction(o); }});
-  out.push_back({"rank_granularity", "future work", "bench_rank_granularity",
+  out.push_back({"rank_granularity", "future work",
                  "rank-granular power-down vs monolithic memory", 10,
                  [](const RunOptions& o) { return run_rank_granularity(o); }});
   out.push_back({"slack_reclamation", "§2 extension",
-                 "bench_slack_reclamation",
                  "WCET pessimism: replanning on early completions", 10,
                  [](const RunOptions& o) { return run_slack_reclamation(o); }});
   out.push_back({"access_sensitivity", "§3 sensitivity",
-                 "bench_access_sensitivity",
                  "memory energy vs per-task access fraction", 10,
                  [](const RunOptions& o) {
                    return run_access_sensitivity(o);
                  }});
   out.push_back({"ablation_discrete", "§4.2 ablation",
-                 "bench_ablation_discrete",
                  "discrete DVFS ladders vs continuous speeds", 20,
                  [](const RunOptions& o) { return run_ablation_discrete(o); }});
   out.push_back({"ablation_procrastination", "§6 step 5 ablation",
-                 "bench_ablation_procrastination",
                  "value of alignment sleep vs speed selection alone", 10,
                  [](const RunOptions& o) {
                    return run_ablation_procrastination(o);
                  }});
   out.push_back({"ablation_sleep_discipline", "Table 3 ablation",
-                 "bench_ablation_sleep_discipline",
                  "never / always / break-even gap disciplines on MBKP", 10,
                  [](const RunOptions& o) {
                    return run_ablation_sleep_discipline(o);
                  }});
-  out.push_back({"governor_ladder", "ROADMAP ladder", "bench_governor_ladder",
+  out.push_back({"governor_ladder", "ROADMAP ladder",
                  "predictive idle governor vs sleep-when-idle vs clairvoyant "
                  "across ladder depth x utilization", 8,
                  [](const RunOptions& o) { return run_governor_ladder(o); }});
   out.push_back({"service_throughput", "online serving",
-                 "bench_service_throughput",
                  "ingest events/sec: parse-on-shard pipeline vs baseline", 3,
                  [](const RunOptions& o) {
                    return run_service_throughput(o);

@@ -185,43 +185,24 @@ __attribute__((always_inline)) inline
 double BlockContext::eval_box(double s, double e) const {
   SDEM_OBS_ONLY(++obs_probes_;)
   double energy = alpha_m_ * (e - s) + const_energy_;
-  // One window per fused lane (left | right | coupled segments), one
-  // batched-kernel call, one serial reduction in task order (left, right,
-  // coupled — the order the scalar loop added them), so the sum is
-  // bit-identical to per-task accumulation.
-  const std::size_t n = lanes_.size();
-  if (n != 0) {
-    const double* bound = lanes_.bound.data();
-    const std::size_t nl = nleft_, nlr = nleft_ + nright_;
-    if (n < kBlockBatchMinLanes) {
-      // Narrow box (the common case): evaluate each lane inline — same
-      // scalar kernel, same accumulation order, so the same bits as the
-      // batched path below — skipping the win_/val_ scratch round-trip,
-      // which costs more than it saves at a handful of lanes.
-      const LaneBuf& L = lanes_;
-      for (std::size_t i = 0; i < nl; ++i) {
-        energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i],
-                                     L.e_race[i], L.e_up[i], bound[i] - s);
-      }
-      for (std::size_t i = nl; i < nlr; ++i) {
-        energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i],
-                                     L.e_race[i], L.e_up[i], e - bound[i]);
-      }
-      for (std::size_t i = nlr; i < n; ++i) {
-        energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i],
-                                     L.e_race[i], L.e_up[i], e - s);
-      }
-    } else {
-      double* win = win_.data();
-      for (std::size_t i = 0; i < nl; ++i) win[i] = bound[i] - s;  // d - s'
-      for (std::size_t i = nl; i < nlr; ++i) win[i] = e - bound[i];  // e' - r
-      for (std::size_t i = nlr; i < n; ++i) win[i] = e - s;  // e' - s'
-      block_piece_batch(kc_, lanes_.w.data(), lanes_.q.data(),
-                        lanes_.wpow.data(), lanes_.e_race.data(),
-                        lanes_.e_up.data(), win, val_.data(), n);
-      const double* val = val_.data();
-      for (std::size_t i = 0; i < n; ++i) energy += val[i];
-    }
+  // One inline kernel call per fused lane (left | right | coupled
+  // segments), accumulated serially in task order (left, right, coupled —
+  // the order the per-task loop added them), so the sum is bit-identical to
+  // per-task accumulation.
+  const LaneBuf& L = lanes_;
+  const double* bound = L.bound.data();
+  const std::size_t n = L.size(), nl = nleft_, nlr = nleft_ + nright_;
+  for (std::size_t i = 0; i < nl; ++i) {  // W = d - s'
+    energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
+                                 L.e_up[i], bound[i] - s);
+  }
+  for (std::size_t i = nl; i < nlr; ++i) {  // W = e' - r
+    energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
+                                 L.e_up[i], e - bound[i]);
+  }
+  for (std::size_t i = nlr; i < n; ++i) {  // W = e' - s'
+    energy += block_piece_scalar(kc_, L.w[i], L.q[i], L.wpow[i], L.e_race[i],
+                                 L.e_up[i], e - s);
   }
 
   if (g_cross_check.load(std::memory_order_relaxed)) audit_probe(s, e, energy);
@@ -504,8 +485,6 @@ BlockSolution BlockContext::solve() {
   }
 
   build_e_breakpoints();
-  win_.resize(pr_.size());
-  val_.resize(pr_.size());
   fixv_.resize(pr_.size());
 
   SDEM_OBS_ONLY(std::uint64_t boxes = 0; std::uint64_t boxes_pruned = 0;

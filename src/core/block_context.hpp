@@ -26,12 +26,10 @@
 // ranges in agreeable order — folds every constant-energy task (unclipped,
 // or pinned at the race speed across the whole box) into a single scalar,
 // and packs the few remaining "dynamic" tasks into one fused SoA lane
-// buffer (left, right, coupled segments). A probe fills the per-lane
-// window array, evaluates every lane with one call to the batched kernel
-// of core/block_kernel.hpp (SIMD for λ ∈ {2, 3} when SDEM_SIMD is on,
-// scalar otherwise — bit-identical either way) and reduces the values
-// serially in task order, so probe values are bit-for-bit the same as the
-// scalar loop they replaced.
+// buffer (left, right, coupled segments). A probe evaluates every lane
+// inline with the scalar kernel of core/block_kernel.hpp and accumulates
+// the values serially in task order, so probe values are bit-for-bit the
+// same as the per-task loop they replaced.
 //
 // Because each lane's energy is nonincreasing in its window, the value at
 // the box's maximal windows — already computed by the feasibility check —
@@ -50,8 +48,7 @@
 // core/block.hpp's exact block_energy_at (same regime boundaries, same
 // s_up feasibility slack), differing only by floating-point reassociation
 // (≲1e-12 relative; tests pin ≤1e-9). set_cross_check(true) audits every
-// probe — batched evaluator included — against the exact O(k) path; Debug
-// builds also assert on it.
+// probe against the exact O(k) path; Debug builds also assert on it.
 //
 // Inputs must be pushed in agreeable deadline order (non-decreasing r and
 // d). Anything else trips the sorted-input check and solve() falls back to
@@ -114,10 +111,10 @@ class BlockContext {
   static void reset_cross_check_counters();
 
  private:
-  /// A box's dynamic lanes, packed as parallel arrays so the batched
-  /// kernel streams them contiguously. `bound` is d for the left-clipped
-  /// segment (W = d - s') and r for the right-clipped one (W = e' - r);
-  /// the both-sides-clipped segment (W = e' - s') ignores it.
+  /// A box's dynamic lanes, packed as parallel arrays so a probe streams
+  /// them contiguously. `bound` is d for the left-clipped segment
+  /// (W = d - s') and r for the right-clipped one (W = e' - r); the
+  /// both-sides-clipped segment (W = e' - s') ignores it.
   struct LaneBuf {
     std::vector<double> bound, w, q, wpow, e_race, e_up;
 
@@ -141,7 +138,7 @@ class BlockContext {
   };
 
   double piece(std::size_t i, double window) const;  ///< lane i over window
-  /// The probe: one window fill + lane evaluation + serial reduction.
+  /// The probe: inline lane evaluation + serial reduction.
   /// Every call site lives in block_context.cpp's line searches, and the
   /// few-lane body must inline into them (it is the whole hot path), so
   /// the definition is marked always_inline there; the slow audit tail
@@ -176,8 +173,8 @@ class BlockContext {
 
   std::vector<Task> tasks_;  ///< pushed order (exact cross-check, placements)
   // Per-task probe constants as SoA columns, parallel to tasks_ (pushed
-  // order). Split from the former AoS `Pre` struct so per-box gathers and
-  // the batched kernel touch only the columns they read.
+  // order). Split from the former AoS `Pre` struct so per-box gathers touch
+  // only the columns they read.
   std::vector<double> pr_;      ///< release
   std::vector<double> pd_;      ///< deadline
   std::vector<double> pw_;      ///< work
@@ -204,8 +201,7 @@ class BlockContext {
   // Per-box scratch, reused across boxes and solves (no allocation). All
   // dynamic lanes live in one fused buffer — segments [0, nleft_),
   // [nleft_, nleft_ + nright_), [nleft_ + nright_, size) hold the left-,
-  // right- and both-sides-clipped classes — so a probe fills one window
-  // array, makes one batched-kernel call and reduces one value array.
+  // right- and both-sides-clipped classes — so a probe walks one buffer.
   // ctmp_ stages the coupled class during setup_box (its lanes are
   // discovered between the left and right loops but accumulate last).
   LaneBuf lanes_, ctmp_;
@@ -213,7 +209,6 @@ class BlockContext {
   double const_energy_ = 0.0;
   double box_floor_ = 0.0;  ///< exact sum of the dynamic lanes' box minima
   double box_mem_floor_ = 0.0;  ///< least feasible e' - s' over the box
-  mutable std::vector<double> win_, val_;  ///< per-probe lane windows/values
   mutable std::vector<double> fixv_;  ///< pinned-segment values (prime_*)
 
   /// One feasible breakpoint box of the current solve, ranked by its exact

@@ -1,33 +1,21 @@
-// Batched per-task window-energy kernel of the block solver.
+// Per-task window-energy kernel of the block solver.
 //
-// BlockContext classifies a box's tasks into window classes and hands the
-// few "dynamic" (window-varying) lanes to this kernel once per probe. The
-// scalar form is the single source of truth for one lane's value; the
-// batched form evaluates a contiguous SoA range of lanes, using the
-// simd.hpp vector primitives for the pow-free λ ∈ {2, 3} paths and falling
-// back to the scalar form otherwise (and for the odd remainder lane).
-//
-// Bit-equality contract: for every lane i,
-//   batch(out, ...)[i] == scalar(w[i], q[i], wpow[i], ...)
-// exactly. The vector path evaluates all three regime values and selects
-// bitwise by the same comparisons the scalar branches take; every lane op
-// is a plain IEEE double op (simd.hpp), so SDEM_SIMD=ON/OFF builds — and
-// the remainder lane within one build — produce identical bits. Callers
-// must reduce lanes serially in index order to keep sums bit-identical.
-// tests/test_simd_kernels.cpp pins the lane equality on random inputs.
+// BlockContext classifies a box's tasks into window classes and evaluates
+// the few "dynamic" (window-varying) lanes with this kernel once per probe,
+// inline, reducing the lane values serially in task order. It is the single
+// source of truth for one lane's value: setup_box's feasibility and bound
+// probes, the line-search primes and every probe call the same function,
+// so a lane's value cannot depend on which path computed it.
 #pragma once
 
 #include <cmath>
-#include <cstddef>
 #include <limits>
-
-#include "support/simd.hpp"
 
 namespace sdem {
 
 /// Same relative slack block_energy_at grants optima sitting exactly on
 /// the s_up boundary; shared so feasibility decisions cannot flip between
-/// the fast, the batched, and the exact path.
+/// the fast and the exact path.
 inline constexpr double kBlockUpSlack = 1.0 + 1e-9;
 
 /// Per-block constants of the kernel (hoisted once per BlockContext).
@@ -58,7 +46,7 @@ inline double block_piece_scalar(const BlockKernelConsts& c, double w,
   // w/W rounds onto the regime boundary, where the energy curve is
   // continuous (race and fill values meet at the knee), so a flip would be
   // ulp-sized; the golden-file and fast-vs-reference tests pin that none
-  // occurs. The batched path below uses the same multiplied comparisons.
+  // occurs.
   if (w < c.s_m_raw * window) {  // race regime: sigma pins at min(s_m, s_up)
     if (q > window * kBlockUpSlack) return kInf;
     return e_race;
@@ -69,70 +57,6 @@ inline double block_piece_scalar(const BlockKernelConsts& c, double w,
   }
   // Fill regime: exec_energy(w, w/W) = alpha*W + beta*w^lambda*W^(1-lambda).
   return c.alpha * window + wpow * block_window_power(window, c.lambda);
-}
-
-/// Below this many lanes the batch takes the scalar loop even when a SIMD
-/// backend is compiled in: the vector path's per-call setup (constant
-/// broadcasts, λ dispatch) and its always-computed fill curve only amortize
-/// across several vector iterations, and small batches dominated by the
-/// race regime resolve faster through the scalar early-exit branches.
-/// Purely a speed cutoff — both paths produce identical bits per lane.
-inline constexpr std::size_t kBlockBatchMinLanes = 8;
-
-/// Batched lane evaluation: out[i] = block_piece_scalar(lane i), for n SoA
-/// lanes. Vectorized for λ ∈ {2, 3} when a SIMD backend is compiled in and
-/// the batch is big enough to amortize the vector setup.
-inline void block_piece_batch(const BlockKernelConsts& c, const double* w,
-                              const double* q, const double* wpow,
-                              const double* e_race, const double* e_up,
-                              const double* win, double* out, std::size_t n) {
-  std::size_t i = 0;
-  if constexpr (simd::enabled()) {
-    if (n >= kBlockBatchMinLanes && (c.lambda == 3.0 || c.lambda == 2.0)) {
-      const bool cubic = c.lambda == 3.0;
-      const simd::DVec one = simd::set1(1.0);
-      const simd::DVec zero = simd::set1(0.0);
-      const simd::DVec inf =
-          simd::set1(std::numeric_limits<double>::infinity());
-      const simd::DVec alpha = simd::set1(c.alpha);
-      const simd::DVec s_m = simd::set1(c.s_m_raw);
-      const simd::DVec s_up = simd::set1(c.s_up);
-      const simd::DVec slack = simd::set1(kBlockUpSlack);
-      for (; i + simd::kLanes <= n; i += simd::kLanes) {
-        const simd::DVec W = simd::load(win + i);
-        const simd::DVec wv = simd::load(w + i);
-        const simd::DMask pos = simd::cmp_gt(W, zero);
-        const simd::DMask race = simd::cmp_lt(wv, simd::mul(s_m, W));
-        const simd::DMask infeas =
-            simd::cmp_gt(simd::load(q + i), simd::mul(W, slack));
-        // Near a box optimum every dynamic lane sits at a window past its
-        // race knee, so the whole vector usually resolves to e_race after
-        // one division — skip the fill-curve division chain then.
-        if (simd::all(simd::mask_andnot(simd::mask_and(pos, race), infeas))) {
-          simd::store(out + i, simd::load(e_race + i));
-          continue;
-        }
-        // All three regime values are computed; rejected lanes are discarded
-        // by the bitwise selects, so their garbage (0/0, inf) never leaks.
-        const simd::DVec wp = cubic ? simd::div(one, simd::mul(W, W))
-                                    : simd::div(one, W);
-        const simd::DVec v_fill = simd::add(
-            simd::mul(alpha, W), simd::mul(simd::load(wpow + i), wp));
-        const simd::DVec v_race =
-            simd::select(infeas, inf, simd::load(e_race + i));
-        const simd::DVec v_up = simd::select(infeas, inf, simd::load(e_up + i));
-        simd::DVec v = simd::select(
-            race, v_race,
-            simd::select(simd::cmp_gt(wv, simd::mul(s_up, W)), v_up, v_fill));
-        v = simd::select(pos, v, inf);
-        simd::store(out + i, v);
-      }
-    }
-  }
-  for (; i < n; ++i) {
-    out[i] = block_piece_scalar(c, w[i], q[i], wpow[i], e_race[i], e_up[i],
-                                win[i]);
-  }
 }
 
 }  // namespace sdem

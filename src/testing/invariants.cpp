@@ -294,9 +294,9 @@ class Checker {
                    "incremental DP vs seed DP energy");
     }
 
-    // Audited re-solve: every fast probe — batched/SIMD lanes included —
-    // is recomputed with the exact O(k) block_energy_at; a feasibility
-    // flip or a > 1e-9 relative energy mismatch counts as a failure.
+    // Audited re-solve: every fast block probe is recomputed with the
+    // exact O(k) block_energy_at; a feasibility flip or a > 1e-9 relative
+    // energy mismatch counts as a failure.
     if (opts_.audit_block_probes) {
       BlockContext::reset_cross_check_counters();
       BlockContext::set_cross_check(true);

@@ -1,11 +1,11 @@
 // sdem_bench_runner — one command for the paper's evaluation (§8).
 //
 // Runs any subset of the registered experiments (bench/bench_registry.hpp)
-// with the seed sweeps spread across a thread pool, prints the same tables
-// the standalone bench binaries print, and writes one BENCH_<name>.json
-// per experiment with full-precision per-seed metrics, per-seed solver
-// timings, and the experiment wall-clock. docs/benchmarks.md documents the
-// JSON schema and the regeneration recipes.
+// with the seed sweeps spread across a thread pool, prints each
+// experiment's tables, and writes one BENCH_<name>.json per experiment
+// with full-precision per-seed metrics, per-seed solver timings, and the
+// experiment wall-clock. docs/benchmarks.md documents the JSON schema and
+// the regeneration recipes.
 //
 //   sdem_bench_runner --list
 //   sdem_bench_runner                        # full sweep, all defaults
@@ -120,6 +120,9 @@ void print_timer_rollup(const obs::Snapshot& snap) {
       kids;
   std::map<std::string, std::pair<std::string, std::uint64_t>> parent_of;
   for (const auto& [name, cell] : snap.timers) {
+    // Registry::reset() zeroes cells but keeps their names, so timers of an
+    // earlier experiment linger with count 0: not part of this run.
+    if (cell.count == 0) continue;
     const std::size_t sep = name.find(obs::kTimerEdgeSep);
     if (sep == std::string::npos) {
       flat[name] = cell;
@@ -266,11 +269,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (list) {
-    Table t({"name", "paper item", "seeds", "standalone binary",
-             "description"});
+    Table t({"name", "paper item", "seeds", "description"});
     for (const Experiment* e : selected)
       t.add_row({e->name, e->paper_item, std::to_string(e->default_seeds),
-                 e->binary, e->description});
+                 e->description});
     std::printf("%s", t.to_text().c_str());
     return 0;
   }
@@ -333,6 +335,9 @@ int main(int argc, char** argv) {
     } else {
       const std::string path =
           out_path.empty() ? "BENCH_" + e->name + ".json" : out_path;
+      // Tables and rollups go to stdout; flush them first so a merged
+      // 2>&1 stream shows each stderr line after its experiment's output.
+      std::fflush(stdout);
       if (!write_file(path, bytes)) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return 1;
@@ -342,6 +347,7 @@ int main(int argc, char** argv) {
                    path.c_str());
     }
   }
+  std::fflush(stdout);
   if (!trace_path.empty()) {
     if (!obs::trace::write_file(trace_path)) {
       std::fprintf(stderr, "cannot write trace %s\n", trace_path.c_str());
