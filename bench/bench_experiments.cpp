@@ -1,11 +1,11 @@
 // The registered experiments: each body is the sweep that used to live in
 // the corresponding standalone bench main, with the seed loop routed
-// through collect_seed_comparisons (pooled) and a JSON payload added next
-// to the legacy tables. Arithmetic, seed derivation, and fold order are
-// kept exactly as the standalone mains had them, so the printed tables are
-// byte-identical and the JSON per-seed numbers are bit-identical between
-// --jobs 1 and --jobs N (see tests/test_figures.cpp and the determinism
-// smoke in docs/benchmarks.md).
+// through collect_grid_comparisons or run_timed_grid (pooled) and a JSON
+// payload added next to the legacy tables. Arithmetic, seed derivation, and
+// fold order are kept exactly as the standalone mains had them, so the
+// printed tables are byte-identical and the JSON per-seed numbers are
+// bit-identical between --jobs 1 and --jobs N (see
+// BenchRegistry.EveryDeterministicExperimentIsJobCountInvariant).
 #include <atomic>
 #include <chrono>
 
@@ -45,7 +45,6 @@ namespace {
 // (memory-only savings) vs Fig. 6b (system-wide savings) columns.
 ExperimentResult run_fig6(const RunOptions& opt, bool memory) {
   const auto cfg = paper_cfg();
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   constexpr int kTasks = 160;
 
   ExperimentResult r;
@@ -53,12 +52,12 @@ ExperimentResult run_fig6(const RunOptions& opt, bool memory) {
     r.header_title = "Fig 6a — memory static energy saving vs U (DSPstone)";
     r.header_what =
         "saving(X) = (E_mem(MBKP) - E_mem(X)) / E_mem(MBKP); " +
-        std::to_string(seeds) + " seeds x " + std::to_string(kTasks) +
+        std::to_string(opt.seeds) + " seeds x " + std::to_string(kTasks) +
         " task instances; alpha_m=4W, xi_m=40ms, 8 cores";
   } else {
     r.header_title = "Fig 6b — system-wide energy saving vs U (DSPstone)";
     r.header_what = "saving(X) = (E_sys(MBKP) - E_sys(X)) / E_sys(MBKP); " +
-                    std::to_string(seeds) + " seeds x " +
+                    std::to_string(opt.seeds) + " seeds x " +
                     std::to_string(kTasks) + " instances; paper defaults";
   }
 
@@ -79,8 +78,8 @@ ExperimentResult run_fig6(const RunOptions& opt, bool memory) {
         p.utilization_u = static_cast<double>(u);
         return make_dspstone(p, seed * 977 + u);
       },
-      [&](std::size_t) -> const SystemConfig& { return cfg; }, 8, seeds,
-      opt.pool, opt.tile);
+      [&](std::size_t) -> const SystemConfig& { return cfg; }, 8, opt.seeds,
+      opt.pool);
 
   Json rows = Json::array();
   double sum_gap = 0.0;
@@ -116,11 +115,9 @@ ExperimentResult run_fig6(const RunOptions& opt, bool memory) {
   Json params = Json::object();
   params.set("workload", "dspstone");
   params.set("tasks", kTasks);
-  params.set("seeds", seeds);
+  params.set("seeds", opt.seeds);
   params.set("saving_component", memory ? "memory" : "system");
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  set_data(r, std::move(params), std::move(rows));
   r.data.set("average_gap_pp", avg_gap);
   return r;
 }
@@ -130,7 +127,6 @@ ExperimentResult run_fig6(const RunOptions& opt, bool memory) {
 // Shared synthetic-task improvement grid over `x`; rows sweep alpha_m
 // (Fig. 7a) or xi_m (Fig. 7b).
 ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   constexpr int kTasks = 120;
 
   ExperimentResult r;
@@ -180,7 +176,7 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
                                               : seed * 7717 + level * 13 + x);
       },
       [&](std::size_t pi) -> const SystemConfig& { return cfgs[pi / 8]; },
-      static_cast<int>(levels.size()) * 8, seeds, opt.pool, opt.tile);
+      static_cast<int>(levels.size()) * 8, opt.seeds, opt.pool);
 
   Json rows = Json::array();
   double sum = 0.0;
@@ -196,8 +192,8 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
         s_sys += sc.sdem_system;
         m_sys += sc.mbkps_system;
       }
-      s_sys /= seeds;
-      m_sys /= seeds;
+      s_sys /= opt.seeds;
+      m_sys /= opt.seeds;
       const double imp = 100.0 * (s_sys - m_sys);
       sum += imp;
       ++cells;
@@ -221,15 +217,9 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", kTasks);
-  params.set("seeds", seeds);
-  params.set(sweep_alpham ? "alpha_m_w" : "xi_m_ms", [&] {
-    Json arr = Json::array();
-    for (int level : levels) arr.push_back(level);
-    return arr;
-  }());
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  params.set("seeds", opt.seeds);
+  params.set(sweep_alpham ? "alpha_m_w" : "xi_m_ms", json_array(levels));
+  set_data(r, std::move(params), std::move(rows));
   r.data.set("average_improvement_pp", sum / cells);
   return r;
 }
@@ -238,7 +228,6 @@ ExperimentResult run_fig7(const RunOptions& opt, bool sweep_alpham) {
 
 ExperimentResult run_table4(const RunOptions& opt) {
   const auto cfg = paper_cfg();
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
 
   ExperimentResult r;
   r.header_title = "Table 4 — parameter grid and the default operating point";
@@ -253,14 +242,15 @@ ExperimentResult run_table4(const RunOptions& opt) {
     r.tables.push_back(std::move(t));
   }
 
-  const auto per_seed = collect_seed_comparisons(
-      [&](std::uint64_t seed) {
+  const auto per_seed = collect_grid_comparisons(
+      [&](std::size_t, std::uint64_t seed) {
         SyntheticParams p;
         p.num_tasks = 120;
         p.max_interarrival = 0.400;
         return make_synthetic(p, seed * 97);
       },
-      cfg, seeds, opt.pool);
+      [&](std::size_t) -> const SystemConfig& { return cfg; }, 1, opt.seeds,
+      opt.pool)[0];
   double e_mbkp = 0, e_mbkps = 0, e_sdem = 0, sleep_sdem = 0, sleep_mbkps = 0;
   for (const SeedComparison& sc : per_seed) {
     e_mbkp += sc.energy_mbkp;
@@ -270,38 +260,35 @@ ExperimentResult run_table4(const RunOptions& opt) {
     sleep_mbkps += sc.sleep_mbkps;
   }
   Table t({"metric", "MBKP", "MBKPS", "SDEM-ON"});
-  t.add_row({"system energy (J, avg)", Table::fmt(e_sdem / seeds, 4),
-             Table::fmt(e_mbkps / seeds, 4), Table::fmt(e_sdem / seeds, 4)});
+  t.add_row({"system energy (J, avg)", Table::fmt(e_sdem / opt.seeds, 4),
+             Table::fmt(e_mbkps / opt.seeds, 4),
+             Table::fmt(e_sdem / opt.seeds, 4)});
   t.add_row({"saving vs MBKP (%)", "0.00",
              Table::fmt(100.0 * (e_mbkp - e_mbkps) / e_mbkp, 2),
              Table::fmt(100.0 * (e_mbkp - e_sdem) / e_mbkp, 2)});
   t.add_row({"memory sleep (s, avg)", "0.0000",
-             Table::fmt(sleep_mbkps / seeds, 4),
-             Table::fmt(sleep_sdem / seeds, 4)});
+             Table::fmt(sleep_mbkps / opt.seeds, 4),
+             Table::fmt(sleep_sdem / opt.seeds, 4)});
   r.tables.push_back(std::move(t));
 
   Json anchor = Json::object();
-  anchor.set("seeds", seeds);
+  anchor.set("seeds", opt.seeds);
   anchor.set("tasks", 120);
   anchor.set("x_ms", 400);
-  anchor.set("energy_mbkp_j_avg", e_mbkp / seeds);
-  anchor.set("energy_mbkps_j_avg", e_mbkps / seeds);
-  anchor.set("energy_sdem_j_avg", e_sdem / seeds);
+  anchor.set("energy_mbkp_j_avg", e_mbkp / opt.seeds);
+  anchor.set("energy_mbkps_j_avg", e_mbkps / opt.seeds);
+  anchor.set("energy_sdem_j_avg", e_sdem / opt.seeds);
   anchor.set("mbkps_saving_pct", 100.0 * (e_mbkp - e_mbkps) / e_mbkp);
   anchor.set("sdem_saving_pct", 100.0 * (e_mbkp - e_sdem) / e_mbkp);
-  anchor.set("memory_sleep_mbkps_s_avg", sleep_mbkps / seeds);
-  anchor.set("memory_sleep_sdem_s_avg", sleep_sdem / seeds);
+  anchor.set("memory_sleep_mbkps_s_avg", sleep_mbkps / opt.seeds);
+  anchor.set("memory_sleep_sdem_s_avg", sleep_sdem / opt.seeds);
   attach_seeds(anchor, per_seed, &r.solver_seconds_total);
 
   Json grid = Json::object();
-  const auto int_array = [](std::initializer_list<int> xs) {
-    Json arr = Json::array();
-    for (int x : xs) arr.push_back(x);
-    return arr;
-  };
-  grid.set("x_ms", int_array({100, 200, 300, 400, 500, 600, 700, 800}));
-  grid.set("alpha_m_w", int_array({1, 2, 3, 4, 5, 6, 7, 8}));
-  grid.set("xi_m_ms", int_array({15, 20, 25, 30, 40, 50, 60, 70}));
+  grid.set("x_ms",
+           json_array(std::vector{100, 200, 300, 400, 500, 600, 700, 800}));
+  grid.set("alpha_m_w", json_array(std::vector{1, 2, 3, 4, 5, 6, 7, 8}));
+  grid.set("xi_m_ms", json_array(std::vector{15, 20, 25, 30, 40, 50, 60, 70}));
   Json defaults = Json::object();
   defaults.set("x_ms", 400);
   defaults.set("alpha_m_w", 4);
@@ -449,7 +436,6 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.memory.xi_m = 0.0;
   constexpr int kN = 8;
-  const int seeds = opt.seeds > 0 ? opt.seeds : 8;
   const std::vector<double> spreads{0.005, 0.020, 0.050, 0.100, 0.200, 0.400};
 
   ExperimentResult r;
@@ -459,14 +445,11 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
   struct Cell {
     double dp = 0.0, one = 0.0, each = 0.0;
     int blocks = 0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(spreads.size() * static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(spreads.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, static_cast<int>(spreads.size()), r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const double spread = spreads[pi];
-        const auto t0 = std::chrono::steady_clock::now();
         const TaskSet ts =
             make_agreeable(kN, seed * 131 + int(spread * 1e4), spread);
         const auto dp = solve_agreeable(ts, cfg);
@@ -476,14 +459,10 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
         for (const auto& task : sorted) {
           each += solve_block({task}, cfg).energy;
         }
-        Cell& c = cells[slot];
         c.dp = dp.energy;
         c.one = one.energy;
         c.each = each;
         c.blocks = dp.case_index;
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"spread (s)", "DP energy (J)", "one block (J)",
@@ -492,33 +471,26 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
   for (std::size_t pi = 0; pi < spreads.size(); ++pi) {
     double e_dp = 0, e_one = 0, e_each = 0;
     double blocks = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       e_dp += c.dp;
       e_one += c.one;
       e_each += c.each;
       blocks += c.blocks;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
       cell.set("dp_energy_j", c.dp);
       cell.set("one_block_energy_j", c.one);
       cell.set("per_task_energy_j", c.each);
       cell.set("dp_blocks", c.blocks);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
-    t.add_row({Table::fmt(spreads[pi], 3), Table::fmt(e_dp / seeds, 5),
-               Table::fmt(e_one / seeds, 5), Table::fmt(e_each / seeds, 5),
-               Table::fmt(blocks / seeds, 1)});
+    });
+    t.add_row({Table::fmt(spreads[pi], 3), Table::fmt(e_dp / opt.seeds, 5),
+               Table::fmt(e_one / opt.seeds, 5),
+               Table::fmt(e_each / opt.seeds, 5),
+               Table::fmt(blocks / opt.seeds, 1)});
     Json row = Json::object();
     row.set("spread_s", spreads[pi]);
-    row.set("dp_energy_j_avg", e_dp / seeds);
-    row.set("one_block_energy_j_avg", e_one / seeds);
-    row.set("per_task_energy_j_avg", e_each / seeds);
-    row.set("dp_blocks_avg", blocks / seeds);
+    row.set("dp_energy_j_avg", e_dp / opt.seeds);
+    row.set("one_block_energy_j_avg", e_one / opt.seeds);
+    row.set("per_task_energy_j_avg", e_each / opt.seeds);
+    row.set("dp_blocks_avg", blocks / opt.seeds);
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
   }
@@ -526,11 +498,9 @@ ExperimentResult run_ablation_blocks(const RunOptions& opt) {
 
   Json params = Json::object();
   params.set("tasks", kN);
-  params.set("seeds", seeds);
+  params.set("seeds", opt.seeds);
   params.set("xi_m", 0.0);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -545,7 +515,6 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
   cfg.core.s_min = 0.0;
   cfg.memory.xi_m = 0.0;
   cfg.num_cores = 0;  // unbounded, matching the offline model
-  const int seeds = opt.seeds > 0 ? opt.seeds : 12;
   constexpr int kTasks = 10;
   const std::vector<double> spreads{0.010, 0.040, 0.100, 0.250};
 
@@ -565,15 +534,11 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
     double sleep_min = 0.0;
     double sleep_mean = 0.0;
     double sleep_max = 0.0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(spreads.size() * static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(spreads.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, static_cast<int>(spreads.size()), r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const double spread = spreads[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         const TaskSet ts =
             make_agreeable(kTasks, seed * 577 + int(spread * 1e4), spread);
         const auto offline = solve_agreeable(ts, cfg);
@@ -604,9 +569,6 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
               compute_energy(per_core, cfg, opts).system_total() /
               offline.energy;
         }
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"spread (ms)", "avg ratio", "worst ratio",
@@ -617,35 +579,25 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
     double sum = 0.0, worst = 0.0, obliv = 0.0;
     double sleep_cycles = 0.0, sleep_mean = 0.0;
     int counted = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       cell.set("feasible", c.feasible);
-      if (c.feasible) {
-        cell.set("ratio", c.ratio);
-        cell.set("oblivious_ratio", c.obliv_ratio);
-        // Per-run memory sleep-interval stats of the online schedule
-        // (count / min / mean / max, seconds) — JSON-only, so the printed
-        // tables stay byte-identical to the legacy bench.
-        cell.set("memory_sleep_cycles", c.sleep_cycles);
-        cell.set("memory_sleep_min_s", c.sleep_min);
-        cell.set("memory_sleep_mean_s", c.sleep_mean);
-        cell.set("memory_sleep_max_s", c.sleep_max);
-      }
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-      if (!c.feasible) continue;
+      if (!c.feasible) return;
+      cell.set("ratio", c.ratio);
+      cell.set("oblivious_ratio", c.obliv_ratio);
+      // Per-run memory sleep-interval stats of the online schedule
+      // (count / min / mean / max, seconds) — JSON-only, so the printed
+      // tables stay byte-identical to the legacy bench.
+      cell.set("memory_sleep_cycles", c.sleep_cycles);
+      cell.set("memory_sleep_min_s", c.sleep_min);
+      cell.set("memory_sleep_mean_s", c.sleep_mean);
+      cell.set("memory_sleep_max_s", c.sleep_max);
       sum += c.ratio;
       worst = std::max(worst, c.ratio);
       obliv += c.obliv_ratio;
       sleep_cycles += c.sleep_cycles;
       sleep_mean += c.sleep_mean;
       ++counted;
-    }
+    });
     t.add_row({Table::fmt(spread * 1e3, 0), Table::fmt(sum / counted, 4),
                Table::fmt(worst, 4), Table::fmt(obliv / counted, 4)});
     Json row = Json::object();
@@ -669,15 +621,9 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
 
   Json params = Json::object();
   params.set("tasks", kTasks);
-  params.set("seeds", seeds);
-  params.set("spreads_s", [&] {
-    Json arr = Json::array();
-    for (double s : spreads) arr.push_back(s);
-    return arr;
-  }());
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  params.set("seeds", opt.seeds);
+  params.set("spreads_s", json_array(spreads));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -689,7 +635,6 @@ ExperimentResult run_online_vs_offline(const RunOptions& opt) {
 // table byte-identical to the legacy serial loop.
 ExperimentResult run_policy_poles(const RunOptions& opt) {
   const auto cfg = paper_cfg();
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   constexpr int kPoints = 8;  // x = 100..800 ms
   constexpr int kPolicies = 5;
   static const char* kNames[kPolicies] = {"race@s_up", "stretch", "critical",
@@ -699,20 +644,14 @@ ExperimentResult run_policy_poles(const RunOptions& opt) {
   r.header_title =
       "Race to idle or not — the five policies (system energy, J)";
   r.header_what = "synthetic traces, 120 tasks, paper defaults; avg over " +
-                  std::to_string(seeds) + " seeds";
+                  std::to_string(opt.seeds) + " seeds";
 
   struct Cell {
     double e[kPolicies] = {0, 0, 0, 0, 0};
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, kPoints, r, [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         SyntheticParams p;
         p.num_tasks = 120;
         p.max_interarrival = x / 1000.0;
@@ -729,9 +668,6 @@ ExperimentResult run_policy_poles(const RunOptions& opt) {
           c.e[i] = evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "x")
                        .energy.system_total();
         }
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"x (ms)", "race@s_up", "stretch", "critical", "MBKPS", "SDEM-ON"});
@@ -739,28 +675,19 @@ ExperimentResult run_policy_poles(const RunOptions& opt) {
   for (int pi = 0; pi < kPoints; ++pi) {
     const int x = 100 + pi * 100;
     double e[kPolicies] = {0, 0, 0, 0, 0};
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       for (int i = 0; i < kPolicies; ++i) {
         e[i] += c.e[i];
         cell.set(std::string("energy_") + kNames[i] + "_j", c.e[i]);
       }
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
-    t.add_row({std::to_string(x), Table::fmt(e[0] / seeds, 3),
-               Table::fmt(e[1] / seeds, 3), Table::fmt(e[2] / seeds, 3),
-               Table::fmt(e[3] / seeds, 3), Table::fmt(e[4] / seeds, 3)});
+    });
+    std::vector<std::string> cols{std::to_string(x)};
+    for (double sum : e) cols.push_back(Table::fmt(sum / opt.seeds, 3));
+    t.add_row(std::move(cols));
     Json row = Json::object();
     row.set("x_ms", x);
     for (int i = 0; i < kPolicies; ++i) {
-      row.set(std::string("energy_") + kNames[i] + "_j_avg", e[i] / seeds);
+      row.set(std::string("energy_") + kNames[i] + "_j_avg", e[i] / opt.seeds);
     }
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
@@ -770,10 +697,8 @@ ExperimentResult run_policy_poles(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", 120);
-  params.set("seeds", seeds);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  params.set("seeds", opt.seeds);
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -786,7 +711,6 @@ ExperimentResult run_islands(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.core.s_min = 0.0;
   cfg.memory.xi_m = 0.0;
-  const int seeds = opt.seeds > 0 ? opt.seeds : 20;
   constexpr int kTasks = 16;
   const std::vector<int> island_counts{16, 8, 4, 2, 1};
 
@@ -795,20 +719,15 @@ ExperimentResult run_islands(const RunOptions& opt) {
       "Extension — voltage-island granularity (common release)";
   r.header_what = "energy relative to per-core rails (islands of 1); " +
                   std::to_string(kTasks) + " tasks, " +
-                  std::to_string(seeds) + " seeds";
+                  std::to_string(opt.seeds) + " seeds";
 
   struct Cell {
     double base = 0.0, similar = 0.0, rr = 0.0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(island_counts.size() *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(island_counts.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, static_cast<int>(island_counts.size()), r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const int islands = island_counts[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         const TaskSet ts = make_common_release(kTasks, 0.0, seed * 397);
         std::vector<int> ones(ts.size());
         for (std::size_t i = 0; i < ts.size(); ++i) {
@@ -825,9 +744,6 @@ ExperimentResult run_islands(const RunOptions& opt) {
         c.base = fine.energy;
         c.similar = sim.energy;
         c.rr = rrres.energy;
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"islands", "tasks/rail", "similar-speed grouping +%",
@@ -836,22 +752,14 @@ ExperimentResult run_islands(const RunOptions& opt) {
   for (std::size_t pi = 0; pi < island_counts.size(); ++pi) {
     const int islands = island_counts[pi];
     double similar = 0.0, rr = 0.0, base = 0.0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       base += c.base;
       similar += c.similar;
       rr += c.rr;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
       cell.set("per_core_energy_j", c.base);
       cell.set("similar_speed_energy_j", c.similar);
       cell.set("round_robin_energy_j", c.rr);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+    });
     t.add_row({std::to_string(islands),
                std::to_string(kTasks / islands),
                Table::fmt(100.0 * (similar / base - 1.0), 2),
@@ -868,15 +776,9 @@ ExperimentResult run_islands(const RunOptions& opt) {
 
   Json params = Json::object();
   params.set("tasks", kTasks);
-  params.set("seeds", seeds);
-  params.set("islands", [&] {
-    Json arr = Json::array();
-    for (int i : island_counts) arr.push_back(i);
-    return arr;
-  }());
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  params.set("seeds", opt.seeds);
+  params.set("islands", json_array(island_counts));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -888,7 +790,6 @@ ExperimentResult run_islands(const RunOptions& opt) {
 ExperimentResult run_contention(const RunOptions& opt) {
   const auto cfg = paper_cfg();
   ContentionParams cp;  // 8 banks, 50 ns service, 1 access / 500 cycles
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   constexpr int kPoints = 4;  // x = 100, 300, 500, 700 ms
 
   ExperimentResult r;
@@ -900,16 +801,11 @@ ExperimentResult run_contention(const RunOptions& opt) {
 
   struct Cell {
     double pu_s = 0, pu_m = 0, w_s = 0, w_m = 0, sat = 0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, kPoints, r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const int x = 100 + static_cast<int>(pi) * 200;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         SyntheticParams p;
         p.num_tasks = 120;
         p.max_interarrival = x / 1000.0;
@@ -923,9 +819,6 @@ ExperimentResult run_contention(const RunOptions& opt) {
         c.w_s = a.mean_wait;
         c.w_m = b.mean_wait;
         c.sat = a.saturated_fraction;
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"x (ms)", "SDEM-ON peak u", "MBKP peak u", "SDEM-ON wait (ns)",
@@ -934,39 +827,30 @@ ExperimentResult run_contention(const RunOptions& opt) {
   for (int pi = 0; pi < kPoints; ++pi) {
     const int x = 100 + pi * 200;
     double pu_s = 0, pu_m = 0, w_s = 0, w_m = 0, sat = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       pu_s += c.pu_s;
       pu_m += c.pu_m;
       w_s += c.w_s;
       w_m += c.w_m;
       sat += c.sat;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
       cell.set("sdem_peak_utilization", c.pu_s);
       cell.set("mbkp_peak_utilization", c.pu_m);
       cell.set("sdem_mean_wait_s", c.w_s);
       cell.set("mbkp_mean_wait_s", c.w_m);
       cell.set("saturated_fraction", c.sat);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
-    t.add_row({std::to_string(x), Table::fmt(pu_s / seeds, 4),
-               Table::fmt(pu_m / seeds, 4),
-               Table::fmt(1e9 * w_s / seeds, 2),
-               Table::fmt(1e9 * w_m / seeds, 2),
-               Table::fmt(100.0 * sat / seeds, 2)});
+    });
+    t.add_row({std::to_string(x), Table::fmt(pu_s / opt.seeds, 4),
+               Table::fmt(pu_m / opt.seeds, 4),
+               Table::fmt(1e9 * w_s / opt.seeds, 2),
+               Table::fmt(1e9 * w_m / opt.seeds, 2),
+               Table::fmt(100.0 * sat / opt.seeds, 2)});
     Json row = Json::object();
     row.set("x_ms", x);
-    row.set("sdem_peak_utilization_avg", pu_s / seeds);
-    row.set("mbkp_peak_utilization_avg", pu_m / seeds);
-    row.set("sdem_mean_wait_ns_avg", 1e9 * w_s / seeds);
-    row.set("mbkp_mean_wait_ns_avg", 1e9 * w_m / seeds);
-    row.set("saturated_pct_avg", 100.0 * sat / seeds);
+    row.set("sdem_peak_utilization_avg", pu_s / opt.seeds);
+    row.set("mbkp_peak_utilization_avg", pu_m / opt.seeds);
+    row.set("sdem_mean_wait_ns_avg", 1e9 * w_s / opt.seeds);
+    row.set("mbkp_mean_wait_ns_avg", 1e9 * w_m / opt.seeds);
+    row.set("saturated_pct_avg", 100.0 * sat / opt.seeds);
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
   }
@@ -980,11 +864,9 @@ ExperimentResult run_contention(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", 120);
-  params.set("seeds", seeds);
+  params.set("seeds", opt.seeds);
   params.set("banks", cp.banks);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1000,7 +882,6 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
   auto cfg = paper_cfg();
   cfg.memory.alpha_m = abs.alpha_m;
   cfg.memory.xi_m = abs.xi_m;
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   constexpr int kPoints = 8;  // x = 100..800 ms
 
   ExperimentResult r;
@@ -1014,16 +895,11 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
   struct Cell {
     double machine = 0.0, abstract_j = 0.0;
     int naps = 0, sleeps = 0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, kPoints, r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         SyntheticParams p;
         p.num_tasks = 120;
         p.max_interarrival = x / 1000.0;
@@ -1040,9 +916,6 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
             evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "sdem");
         c.abstract_j = ev.energy.memory_total() +
                        abs.floor_power * (sim.horizon_hi - sim.horizon_lo);
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"x (ms)", "SDEM-ON machine (J)", "SDEM-ON abstract (J)", "err %",
@@ -1052,37 +925,28 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
     const int x = 100 + pi * 100;
     double machine = 0.0, abstract_j = 0.0;
     int naps = 0, sleeps = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       machine += c.machine;
       abstract_j += c.abstract_j;
       naps += c.naps;
       sleeps += c.sleeps;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
       cell.set("machine_j", c.machine);
       cell.set("abstract_j", c.abstract_j);
       cell.set("powerdown_cycles", c.naps);
       cell.set("selfrefresh_cycles", c.sleeps);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
-    t.add_row({std::to_string(x), Table::fmt(machine / seeds, 3),
-               Table::fmt(abstract_j / seeds, 3),
+    });
+    t.add_row({std::to_string(x), Table::fmt(machine / opt.seeds, 3),
+               Table::fmt(abstract_j / opt.seeds, 3),
                Table::fmt(100.0 * (abstract_j - machine) / machine, 2),
-               std::to_string(naps / seeds) + "/" +
-                   std::to_string(sleeps / seeds)});
+               std::to_string(naps / opt.seeds) + "/" +
+                   std::to_string(sleeps / opt.seeds)});
     Json row = Json::object();
     row.set("x_ms", x);
-    row.set("machine_j_avg", machine / seeds);
-    row.set("abstract_j_avg", abstract_j / seeds);
+    row.set("machine_j_avg", machine / opt.seeds);
+    row.set("abstract_j_avg", abstract_j / opt.seeds);
     row.set("abstraction_err_pct", 100.0 * (abstract_j - machine) / machine);
-    row.set("powerdown_cycles_avg", static_cast<double>(naps) / seeds);
-    row.set("selfrefresh_cycles_avg", static_cast<double>(sleeps) / seeds);
+    row.set("powerdown_cycles_avg", static_cast<double>(naps) / opt.seeds);
+    row.set("selfrefresh_cycles_avg", static_cast<double>(sleeps) / opt.seeds);
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
   }
@@ -1094,12 +958,10 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", 120);
-  params.set("seeds", seeds);
+  params.set("seeds", opt.seeds);
   params.set("alpha_m_w", abs.alpha_m);
   params.set("xi_m_s", abs.xi_m);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1110,7 +972,6 @@ ExperimentResult run_dram_abstraction(const RunOptions& opt) {
 // keep the table byte-identical to the legacy standalone.
 ExperimentResult run_rank_granularity(const RunOptions& opt) {
   const auto cfg = paper_cfg();
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   const std::vector<int> rank_counts{1, 2, 4, 8};
 
   ExperimentResult r;
@@ -1121,16 +982,11 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
 
   struct Cell {
     double e_sdem = 0.0, e_mbkp = 0.0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(rank_counts.size() *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(rank_counts.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, static_cast<int>(rank_counts.size()), r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const int ranks = rank_counts[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         SyntheticParams p;
         p.num_tasks = 120;
         p.max_interarrival = 0.300;
@@ -1145,9 +1001,6 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
         c.e_mbkp = rank_memory_energy(s2.schedule, cfg.memory, ranks, 8,
                                       s2.horizon_lo, s2.horizon_hi)
                        .total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"ranks", "SDEM-ON mem (J)", "MBKP-sched mem (J)",
@@ -1155,27 +1008,20 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < rank_counts.size(); ++pi) {
     double e_sdem = 0.0, e_mbkp = 0.0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       e_sdem += c.e_sdem;
       e_mbkp += c.e_mbkp;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
       cell.set("sdem_memory_j", c.e_sdem);
       cell.set("mbkp_memory_j", c.e_mbkp);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
-    t.add_row({std::to_string(rank_counts[pi]), Table::fmt(e_sdem / seeds, 3),
-               Table::fmt(e_mbkp / seeds, 3),
+    });
+    t.add_row({std::to_string(rank_counts[pi]),
+               Table::fmt(e_sdem / opt.seeds, 3),
+               Table::fmt(e_mbkp / opt.seeds, 3),
                Table::fmt(100.0 * (e_mbkp - e_sdem) / e_mbkp, 2)});
     Json row = Json::object();
     row.set("ranks", rank_counts[pi]);
-    row.set("sdem_memory_j_avg", e_sdem / seeds);
-    row.set("mbkp_memory_j_avg", e_mbkp / seeds);
+    row.set("sdem_memory_j_avg", e_sdem / opt.seeds);
+    row.set("mbkp_memory_j_avg", e_mbkp / opt.seeds);
     row.set("sdem_advantage_pct", 100.0 * (e_mbkp - e_sdem) / e_mbkp);
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
@@ -1188,11 +1034,9 @@ ExperimentResult run_rank_granularity(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", 120);
-  params.set("seeds", seeds);
+  params.set("seeds", opt.seeds);
   params.set("x_ms", 300);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1207,7 +1051,6 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
   auto cfg0 = cfg;
   cfg0.core.alpha = 0.0;
   cfg0.core.s_min = 0.0;
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   const std::vector<double> fracs{1.0, 0.9, 0.7, 0.5, 0.3};
 
   ExperimentResult r;
@@ -1220,21 +1063,17 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
       "alpha = 0 model stretches, so freed work slows the rest.";
 
   struct Cell {
+    bool alpha_zero = false;
     double e_with = 0.0, e_without = 0.0;
-    double solver_seconds = 0.0;
   };
   // Point layout: fraction-major, regime minor (0 = alpha != 0, 1 = alpha
   // = 0), matching the standalone's run(cfg, ...) then run(cfg0, ...).
-  const int points = static_cast<int>(fracs.size()) * 2;
-  std::vector<Cell> cells(static_cast<std::size_t>(points) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, points, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, static_cast<int>(fracs.size()) * 2, r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const double f = fracs[pi / 2];
-        const SystemConfig& c_run = (pi % 2 == 0) ? cfg : cfg0;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
+        c.alpha_zero = pi % 2 == 1;
+        const SystemConfig& c_run = c.alpha_zero ? cfg0 : cfg;
         SyntheticParams p;
         p.num_tasks = 120;
         p.max_interarrival = 0.300;
@@ -1249,9 +1088,6 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
         c.e_without =
             evaluate_policy(without, c_run, SleepDiscipline::kOptimal, "n")
                 .energy.system_total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"actual/WCET", "a!=0 reclaim", "a!=0 none", "gain %",
@@ -1259,37 +1095,26 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
   Json rows = Json::array();
   for (std::size_t fi = 0; fi < fracs.size(); ++fi) {
     double w1 = 0, n1 = 0, w0 = 0, n0 = 0;
-    Json per_seed = Json::array();
-    for (int regime = 0; regime < 2; ++regime) {
-      for (int s = 0; s < seeds; ++s) {
-        const Cell& c =
-            cells[(fi * 2 + static_cast<std::size_t>(regime)) *
-                      static_cast<std::size_t>(seeds) +
-                  static_cast<std::size_t>(s)];
-        (regime == 0 ? w1 : w0) += c.e_with;
-        (regime == 0 ? n1 : n0) += c.e_without;
-        r.solver_seconds_total += c.solver_seconds;
-        Json cell = Json::object();
-        cell.set("seed", static_cast<std::uint64_t>(s + 1));
-        cell.set("alpha_zero", regime == 1);
-        cell.set("reclaim_energy_j", c.e_with);
-        cell.set("no_reclaim_energy_j", c.e_without);
-        cell.set("solver_seconds", c.solver_seconds);
-        per_seed.push_back(std::move(cell));
-      }
-    }
-    t.add_row({Table::fmt(fracs[fi], 1), Table::fmt(w1 / seeds, 3),
-               Table::fmt(n1 / seeds, 3),
+    const auto fold = [&](const Cell& c, Json& cell) {
+      (c.alpha_zero ? w0 : w1) += c.e_with;
+      (c.alpha_zero ? n0 : n1) += c.e_without;
+      cell.set("alpha_zero", c.alpha_zero);
+      cell.set("reclaim_energy_j", c.e_with);
+      cell.set("no_reclaim_energy_j", c.e_without);
+    };
+    Json per_seed = grid.per_seed(fi * 2, fold, 2);
+    t.add_row({Table::fmt(fracs[fi], 1), Table::fmt(w1 / opt.seeds, 3),
+               Table::fmt(n1 / opt.seeds, 3),
                Table::fmt(100.0 * (n1 - w1) / n1, 2),
-               Table::fmt(w0 / seeds, 4), Table::fmt(n0 / seeds, 4),
+               Table::fmt(w0 / opt.seeds, 4), Table::fmt(n0 / opt.seeds, 4),
                Table::fmt(100.0 * (n0 - w0) / n0, 2)});
     Json row = Json::object();
     row.set("actual_over_wcet", fracs[fi]);
-    row.set("alpha_reclaim_j_avg", w1 / seeds);
-    row.set("alpha_no_reclaim_j_avg", n1 / seeds);
+    row.set("alpha_reclaim_j_avg", w1 / opt.seeds);
+    row.set("alpha_no_reclaim_j_avg", n1 / opt.seeds);
     row.set("alpha_gain_pct", 100.0 * (n1 - w1) / n1);
-    row.set("alpha0_reclaim_j_avg", w0 / seeds);
-    row.set("alpha0_no_reclaim_j_avg", n0 / seeds);
+    row.set("alpha0_reclaim_j_avg", w0 / opt.seeds);
+    row.set("alpha0_no_reclaim_j_avg", n0 / opt.seeds);
     row.set("alpha0_gain_pct", 100.0 * (n0 - w0) / n0);
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
@@ -1305,11 +1130,9 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", 120);
-  params.set("seeds", seeds);
+  params.set("seeds", opt.seeds);
   params.set("x_ms", 300);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1320,7 +1143,6 @@ ExperimentResult run_slack_reclamation(const RunOptions& opt) {
 // so folds walk fractions in row order like the legacy standalone.
 ExperimentResult run_access_sensitivity(const RunOptions& opt) {
   const auto cfg = paper_cfg();
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   const std::vector<double> fracs{1.0, 0.8, 0.6, 0.4, 0.2};
 
   ExperimentResult r;
@@ -1332,15 +1154,11 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
 
   struct Cell {
     double e_sdem = 0.0, e_mbkp = 0.0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(fracs.size() * static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(fracs.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, static_cast<int>(fracs.size()), r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const double f = fracs[pi];
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         SyntheticParams p;
         p.num_tasks = 120;
         p.max_interarrival = 0.400;
@@ -1359,9 +1177,6 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
         c.e_mbkp = access_aware_memory_energy(s2.schedule, acc, cfg.memory,
                                               s2.horizon_lo, s2.horizon_hi)
                        .total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"fraction f", "SDEM-ON mem (J)", "vs f=1 %", "MBKP-sched mem (J)",
@@ -1370,33 +1185,25 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
   double sdem_base = 0.0, mbkp_base = 0.0;
   for (std::size_t pi = 0; pi < fracs.size(); ++pi) {
     double e_sdem = 0.0, e_mbkp = 0.0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       e_sdem += c.e_sdem;
       e_mbkp += c.e_mbkp;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
       cell.set("sdem_memory_j", c.e_sdem);
       cell.set("mbkp_memory_j", c.e_mbkp);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+    });
     if (fracs[pi] == 1.0) {
       sdem_base = e_sdem;
       mbkp_base = e_mbkp;
     }
-    t.add_row({Table::fmt(fracs[pi], 1), Table::fmt(e_sdem / seeds, 3),
+    t.add_row({Table::fmt(fracs[pi], 1), Table::fmt(e_sdem / opt.seeds, 3),
                Table::fmt(100.0 * (e_sdem / sdem_base - 1.0), 2),
-               Table::fmt(e_mbkp / seeds, 3),
+               Table::fmt(e_mbkp / opt.seeds, 3),
                Table::fmt(100.0 * (e_mbkp / mbkp_base - 1.0), 2)});
     Json row = Json::object();
     row.set("fraction", fracs[pi]);
-    row.set("sdem_memory_j_avg", e_sdem / seeds);
+    row.set("sdem_memory_j_avg", e_sdem / opt.seeds);
     row.set("sdem_vs_full_pct", 100.0 * (e_sdem / sdem_base - 1.0));
-    row.set("mbkp_memory_j_avg", e_mbkp / seeds);
+    row.set("mbkp_memory_j_avg", e_mbkp / opt.seeds);
     row.set("mbkp_vs_full_pct", 100.0 * (e_mbkp / mbkp_base - 1.0));
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
@@ -1406,11 +1213,9 @@ ExperimentResult run_access_sensitivity(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", 120);
-  params.set("seeds", seeds);
+  params.set("seeds", opt.seeds);
   params.set("x_ms", 400);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1424,7 +1229,6 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
   cfg.core.s_min = 0.0;
   cfg.memory.xi_m = 0.0;
   cfg.num_cores = 0;
-  const int seeds = opt.seeds > 0 ? opt.seeds : 20;
 
   ExperimentResult r;
   r.header_title = "Ablation — discrete DVFS ladders vs continuous speeds";
@@ -1443,15 +1247,11 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
     bool feasible = false;
     double pen = 0.0, aware_pen = 0.0;
     int splits = 0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(ladders.size() * static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, static_cast<int>(ladders.size()), seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, static_cast<int>(ladders.size()), r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const FrequencyLadder& ladder = ladders[pi].second;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         const TaskSet ts = make_common_release(10, 0.0, seed * 61);
         const auto cont = solve_common_release_alpha(ts, cfg);
         if (cont.feasible) {
@@ -1463,9 +1263,6 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
           const auto aware = solve_common_release_discrete(ts, cfg, ladder);
           c.aware_pen = (aware.energy - base) / base;
         }
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"ladder", "post-hoc penalty %", "ladder-aware penalty %",
@@ -1473,36 +1270,27 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
   Json rows = Json::array();
   for (std::size_t pi = 0; pi < ladders.size(); ++pi) {
     double sum = 0.0, worst = 0.0, splits = 0.0, aware_sum = 0.0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[pi * static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       cell.set("feasible", c.feasible);
-      if (c.feasible) {
-        cell.set("post_hoc_penalty", c.pen);
-        cell.set("ladder_aware_penalty", c.aware_pen);
-        cell.set("splits", c.splits);
-      }
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-      if (!c.feasible) continue;
+      if (!c.feasible) return;
+      cell.set("post_hoc_penalty", c.pen);
+      cell.set("ladder_aware_penalty", c.aware_pen);
+      cell.set("splits", c.splits);
       sum += c.pen;
       worst = std::max(worst, c.pen);
       splits += c.splits;
       aware_sum += c.aware_pen;
-    }
-    t.add_row({ladders[pi].first, Table::fmt(100.0 * sum / seeds, 3),
-               Table::fmt(100.0 * aware_sum / seeds, 3),
-               Table::fmt(100.0 * worst, 3), Table::fmt(splits / seeds, 1)});
+    });
+    t.add_row({ladders[pi].first, Table::fmt(100.0 * sum / opt.seeds, 3),
+               Table::fmt(100.0 * aware_sum / opt.seeds, 3),
+               Table::fmt(100.0 * worst, 3),
+               Table::fmt(splits / opt.seeds, 1)});
     Json row = Json::object();
     row.set("ladder", ladders[pi].first);
-    row.set("post_hoc_penalty_pct_avg", 100.0 * sum / seeds);
-    row.set("ladder_aware_penalty_pct_avg", 100.0 * aware_sum / seeds);
+    row.set("post_hoc_penalty_pct_avg", 100.0 * sum / opt.seeds);
+    row.set("ladder_aware_penalty_pct_avg", 100.0 * aware_sum / opt.seeds);
     row.set("max_post_hoc_pct", 100.0 * worst);
-    row.set("splits_avg", splits / seeds);
+    row.set("splits_avg", splits / opt.seeds);
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
   }
@@ -1510,16 +1298,9 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
 
   Json params = Json::object();
   params.set("tasks", 10);
-  params.set("seeds", seeds);
-  params.set("ladder_range_mhz", [&] {
-    Json arr = Json::array();
-    arr.push_back(700);
-    arr.push_back(1900);
-    return arr;
-  }());
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  params.set("seeds", opt.seeds);
+  params.set("ladder_range_mhz", json_array(std::vector{700, 1900}));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1530,7 +1311,6 @@ ExperimentResult run_ablation_discrete(const RunOptions& opt) {
 // byte-identical to the legacy standalone.
 ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
   const auto cfg = paper_cfg();
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   constexpr int kTasks = 120;
   constexpr int kPoints = 8;  // x = 100..800 ms
 
@@ -1543,16 +1323,11 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
 
   struct Cell {
     double e_mbkp = 0.0, e_sdem = 0.0, e_eager = 0.0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, kPoints, r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         SyntheticParams p;
         p.num_tasks = kTasks;
         p.max_interarrival = x / 1000.0;
@@ -1565,9 +1340,6 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
         c.e_eager =
             evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "eager")
                 .energy.system_total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"x (ms)", "SDEM-ON saving %", "eager saving %",
@@ -1576,23 +1348,14 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
   for (int pi = 0; pi < kPoints; ++pi) {
     const int x = 100 + pi * 100;
     double e_mbkp = 0, e_sdem = 0, e_eager = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       e_mbkp += c.e_mbkp;
       e_sdem += c.e_sdem;
       e_eager += c.e_eager;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
       cell.set("energy_mbkp_j", c.e_mbkp);
       cell.set("energy_sdem_j", c.e_sdem);
       cell.set("energy_eager_j", c.e_eager);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
+    });
     const double s_sdem = 100.0 * (e_mbkp - e_sdem) / e_mbkp;
     const double s_eager = 100.0 * (e_mbkp - e_eager) / e_mbkp;
     t.add_row({std::to_string(x), Table::fmt(s_sdem, 2),
@@ -1610,10 +1373,8 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", kTasks);
-  params.set("seeds", seeds);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  params.set("seeds", opt.seeds);
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1624,7 +1385,6 @@ ExperimentResult run_ablation_procrastination(const RunOptions& opt) {
 // byte-identical to the legacy standalone.
 ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
   const auto cfg = paper_cfg();
-  const int seeds = opt.seeds > 0 ? opt.seeds : 10;
   constexpr int kTasks = 120;
   constexpr int kPoints = 8;  // x = 100..800 ms
 
@@ -1636,16 +1396,11 @@ ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
 
   struct Cell {
     double e_never = 0.0, e_always = 0.0, e_opt = 0.0;
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(static_cast<std::size_t>(kPoints) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kPoints, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, kPoints, r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         SyntheticParams p;
         p.num_tasks = kTasks;
         p.max_interarrival = x / 1000.0;
@@ -1657,9 +1412,6 @@ ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
                          .energy.system_total();
         c.e_opt = evaluate_policy(sim, cfg, SleepDiscipline::kOptimal, "o")
                       .energy.system_total();
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"x (ms)", "never (MBKP)", "always", "break-even (MBKPS)",
@@ -1668,32 +1420,23 @@ ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
   for (int pi = 0; pi < kPoints; ++pi) {
     const int x = 100 + pi * 100;
     double e_never = 0, e_always = 0, e_opt = 0;
-    Json per_seed = Json::array();
-    for (int s = 0; s < seeds; ++s) {
-      const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                static_cast<std::size_t>(seeds) +
-                            static_cast<std::size_t>(s)];
+    Json per_seed = grid.per_seed(pi, [&](const Cell& c, Json& cell) {
       e_never += c.e_never;
       e_always += c.e_always;
       e_opt += c.e_opt;
-      r.solver_seconds_total += c.solver_seconds;
-      Json cell = Json::object();
-      cell.set("seed", static_cast<std::uint64_t>(s + 1));
       cell.set("energy_never_j", c.e_never);
       cell.set("energy_always_j", c.e_always);
       cell.set("energy_breakeven_j", c.e_opt);
-      cell.set("solver_seconds", c.solver_seconds);
-      per_seed.push_back(std::move(cell));
-    }
-    t.add_row({std::to_string(x), Table::fmt(e_never / seeds, 4),
-               Table::fmt(e_always / seeds, 4),
-               Table::fmt(e_opt / seeds, 4),
+    });
+    t.add_row({std::to_string(x), Table::fmt(e_never / opt.seeds, 4),
+               Table::fmt(e_always / opt.seeds, 4),
+               Table::fmt(e_opt / opt.seeds, 4),
                Table::fmt(100.0 * (e_always - e_never) / e_never, 2)});
     Json row = Json::object();
     row.set("x_ms", x);
-    row.set("energy_never_j_avg", e_never / seeds);
-    row.set("energy_always_j_avg", e_always / seeds);
-    row.set("energy_breakeven_j_avg", e_opt / seeds);
+    row.set("energy_never_j_avg", e_never / opt.seeds);
+    row.set("energy_always_j_avg", e_always / opt.seeds);
+    row.set("energy_breakeven_j_avg", e_opt / opt.seeds);
     row.set("always_vs_never_pct", 100.0 * (e_always - e_never) / e_never);
     row.set("per_seed", std::move(per_seed));
     rows.push_back(std::move(row));
@@ -1703,10 +1446,8 @@ ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "synthetic");
   params.set("tasks", kTasks);
-  params.set("seeds", seeds);
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  params.set("seeds", opt.seeds);
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1729,7 +1470,6 @@ ExperimentResult run_ablation_sleep_discipline(const RunOptions& opt) {
 // accounting, not the solver).
 ExperimentResult run_governor_ladder(const RunOptions& opt) {
   const auto base = paper_cfg();
-  const int seeds = opt.seeds > 0 ? opt.seeds : 8;
   constexpr int kTasks = 120;
   constexpr int kUtil = 8;  // x = 100..800 ms
   constexpr int kDepths[] = {1, 2, 4};
@@ -1755,16 +1495,11 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
     /// Per-rung governor accounting (cycles/aborts/mispredicts by state).
     std::vector<SleepStateBreakdown> states[kNumDepths];
     double sleep_legacy = 0.0;  ///< legacy kOptimal (frozen single-state)
-    double solver_seconds = 0.0;
   };
-  std::vector<Cell> cells(static_cast<std::size_t>(kUtil) *
-                          static_cast<std::size_t>(seeds));
-  parallel_for_grid(
-      opt.pool, kUtil, seeds,
-      [&](std::size_t pi, std::uint64_t seed, std::size_t slot) {
+  const auto grid = run_timed_grid<Cell>(
+      opt, kUtil, r,
+      [&](Cell& c, std::size_t pi, std::uint64_t seed) {
         const int x = 100 + static_cast<int>(pi) * 100;
-        const auto t0 = std::chrono::steady_clock::now();
-        Cell& c = cells[slot];
         BurstyParams p;
         p.num_tasks = kTasks;
         p.burst_gap = x / 1000.0;
@@ -1801,9 +1536,6 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
               evaluate_policy(sim_sdem, cfg, SleepDiscipline::kOptimal, "s")
                   .energy.memory_total();
         }
-        c.solver_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count();
       });
 
   Table t({"depth", "x (ms)", "never", "sleep-when-idle", "governor",
@@ -1815,10 +1547,8 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
       double e_never = 0, e_always = 0, e_oracle = 0, e_governor = 0;
       double e_sdem = 0, mispredicts = 0, aborts = 0, legacy = 0;
       Json per_seed = Json::array();
-      for (int s = 0; s < seeds; ++s) {
-        const Cell& c = cells[static_cast<std::size_t>(pi) *
-                                  static_cast<std::size_t>(seeds) +
-                              static_cast<std::size_t>(s)];
+      for (int s = 0; s < opt.seeds; ++s) {
+        const Cell& c = grid.at(static_cast<std::size_t>(pi), s);
         e_never += c.e_never[di];
         e_always += c.e_always[di];
         e_oracle += c.e_oracle[di];
@@ -1827,7 +1557,6 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
         mispredicts += c.mispredicts[di];
         aborts += c.aborts[di];
         legacy += c.sleep_legacy;
-        if (di == 0) r.solver_seconds_total += c.solver_seconds;
         Json cell = Json::object();
         cell.set("seed", static_cast<std::uint64_t>(s + 1));
         cell.set("energy_never_j", c.e_never[di]);
@@ -1859,29 +1588,29 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
         per_seed.push_back(std::move(cell));
       }
       t.add_row({std::to_string(kDepths[di]), std::to_string(x),
-                 Table::fmt(e_never / seeds, 4),
-                 Table::fmt(e_always / seeds, 4),
-                 Table::fmt(e_governor / seeds, 4),
-                 Table::fmt(e_oracle / seeds, 4),
-                 Table::fmt(e_sdem / seeds, 4),
+                 Table::fmt(e_never / opt.seeds, 4),
+                 Table::fmt(e_always / opt.seeds, 4),
+                 Table::fmt(e_governor / opt.seeds, 4),
+                 Table::fmt(e_oracle / opt.seeds, 4),
+                 Table::fmt(e_sdem / opt.seeds, 4),
                  Table::fmt(100.0 * (e_governor - e_always) / e_always, 2),
                  Table::fmt(100.0 * (e_governor - e_oracle) / e_oracle, 2)});
       Json row = Json::object();
       row.set("depth", kDepths[di]);
       row.set("x_ms", x);
-      row.set("energy_never_j_avg", e_never / seeds);
-      row.set("energy_always_j_avg", e_always / seeds);
-      row.set("energy_governor_j_avg", e_governor / seeds);
-      row.set("energy_oracle_j_avg", e_oracle / seeds);
-      row.set("energy_sdem_oracle_j_avg", e_sdem / seeds);
+      row.set("energy_never_j_avg", e_never / opt.seeds);
+      row.set("energy_always_j_avg", e_always / opt.seeds);
+      row.set("energy_governor_j_avg", e_governor / opt.seeds);
+      row.set("energy_oracle_j_avg", e_oracle / opt.seeds);
+      row.set("energy_sdem_oracle_j_avg", e_sdem / opt.seeds);
       row.set("governor_vs_always_pct",
               100.0 * (e_governor - e_always) / e_always);
       row.set("governor_vs_oracle_pct",
               100.0 * (e_governor - e_oracle) / e_oracle);
-      row.set("mispredicts_avg", mispredicts / seeds);
-      row.set("aborts_avg", aborts / seeds);
+      row.set("mispredicts_avg", mispredicts / opt.seeds);
+      row.set("aborts_avg", aborts / opt.seeds);
       if (kDepths[di] == 1) {
-        row.set("energy_legacy_single_j_avg", legacy / seeds);
+        row.set("energy_legacy_single_j_avg", legacy / opt.seeds);
       }
       row.set("per_seed", std::move(per_seed));
       rows.push_back(std::move(row));
@@ -1892,14 +1621,10 @@ ExperimentResult run_governor_ladder(const RunOptions& opt) {
   Json params = Json::object();
   params.set("workload", "bursty");
   params.set("tasks", kTasks);
-  params.set("seeds", seeds);
-  Json depths = Json::array();
-  for (int d : kDepths) depths.push_back(Json(d));
-  params.set("ladder_depths", std::move(depths));
+  params.set("seeds", opt.seeds);
+  params.set("ladder_depths", json_array(kDepths));
   params.set("governor", "ewma0.25+window8, deepest-fit");
-  r.data = Json::object();
-  r.data.set("params", std::move(params));
-  r.data.set("rows", std::move(rows));
+  set_data(r, std::move(params), std::move(rows));
   return r;
 }
 
@@ -1975,7 +1700,6 @@ std::vector<std::string> make_throughput_lines(long n, int islands,
 // For the parse-on-ingest baseline the two rates coincide by
 // construction: the parse happens on the ingest thread itself.
 ExperimentResult run_service_throughput(const RunOptions& opt) {
-  const int seeds = opt.seeds > 0 ? opt.seeds : 3;
   constexpr int kIslands = 64;
   constexpr int kBatch = 8;
   constexpr long kEvents = 40000;        // race: ingest-bound
@@ -1986,7 +1710,7 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
   r.header_what =
       strf("%d islands, same-release batches of %d, lazy commits; "
            "best of %d runs per config",
-           kIslands, kBatch, seeds);
+           kIslands, kBatch, opt.seeds);
 
   struct Config {
     const char* name;
@@ -2126,7 +1850,7 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
     double best_e2e_eps = 0.0;
     RunResult best{};
     Json per_run = Json::array();
-    for (int s = 1; s <= seeds; ++s) {
+    for (int s = 1; s <= opt.seeds; ++s) {
       const RunResult res =
           run_once(c, static_cast<std::uint64_t>(s));
       r.solver_seconds_total += res.secs;
@@ -2201,7 +1925,7 @@ ExperimentResult run_service_throughput(const RunOptions& opt) {
   params.set("batch", kBatch);
   params.set("events_race", static_cast<std::uint64_t>(kEvents));
   params.set("events_sdem_on", static_cast<std::uint64_t>(kEventsSolver));
-  params.set("runs_per_config", seeds);
+  params.set("runs_per_config", opt.seeds);
   r.data = Json::object();
   r.data.set("params", std::move(params));
   r.data.set("configs", std::move(rows));
@@ -2231,60 +1955,51 @@ void register_all_experiments(std::vector<Experiment>& out) {
                  [](const RunOptions& o) { return run_fig7(o, false); }});
   out.push_back({"table4", "Table 4",
                  "parameter grid and the default operating point", 10,
-                 [](const RunOptions& o) { return run_table4(o); }});
+                 run_table4});
   out.push_back({"table1", "Table 1", "runtime scaling of the SDEM schemes", 1,
-                 [](const RunOptions& o) { return run_table1(o); }});
+                 run_table1});
   out.push_back({"ablation_blocks", "§5 ablation",
                  "block DP vs degenerate partitions over task spread", 8,
-                 [](const RunOptions& o) { return run_ablation_blocks(o); }});
+                 run_ablation_blocks});
   out.push_back({"online_vs_offline", "§6 ratio",
                  "empirical competitive ratio vs the agreeable DP", 12,
-                 [](const RunOptions& o) { return run_online_vs_offline(o); }});
+                 run_online_vs_offline});
   out.push_back({"policy_poles", "title question",
                  "race / stretch / critical / MBKPS / SDEM-ON across x", 10,
-                 [](const RunOptions& o) { return run_policy_poles(o); }});
+                 run_policy_poles});
   out.push_back({"islands", "future work",
                  "voltage-island granularity vs per-core rails", 20,
-                 [](const RunOptions& o) { return run_islands(o); }});
+                 run_islands});
   out.push_back({"contention", "§3 assumption",
                  "controller contention under SDEM-ON's alignment", 10,
-                 [](const RunOptions& o) { return run_contention(o); }});
+                 run_contention});
   out.push_back({"dram_abstraction", "§3 substrate",
                  "DRAM power-state machine vs the (alpha_m, xi_m) model", 10,
-                 [](const RunOptions& o) { return run_dram_abstraction(o); }});
+                 run_dram_abstraction});
   out.push_back({"rank_granularity", "future work",
                  "rank-granular power-down vs monolithic memory", 10,
-                 [](const RunOptions& o) { return run_rank_granularity(o); }});
+                 run_rank_granularity});
   out.push_back({"slack_reclamation", "§2 extension",
                  "WCET pessimism: replanning on early completions", 10,
-                 [](const RunOptions& o) { return run_slack_reclamation(o); }});
+                 run_slack_reclamation});
   out.push_back({"access_sensitivity", "§3 sensitivity",
                  "memory energy vs per-task access fraction", 10,
-                 [](const RunOptions& o) {
-                   return run_access_sensitivity(o);
-                 }});
+                 run_access_sensitivity});
   out.push_back({"ablation_discrete", "§4.2 ablation",
                  "discrete DVFS ladders vs continuous speeds", 20,
-                 [](const RunOptions& o) { return run_ablation_discrete(o); }});
+                 run_ablation_discrete});
   out.push_back({"ablation_procrastination", "§6 step 5 ablation",
                  "value of alignment sleep vs speed selection alone", 10,
-                 [](const RunOptions& o) {
-                   return run_ablation_procrastination(o);
-                 }});
+                 run_ablation_procrastination});
   out.push_back({"ablation_sleep_discipline", "Table 3 ablation",
                  "never / always / break-even gap disciplines on MBKP", 10,
-                 [](const RunOptions& o) {
-                   return run_ablation_sleep_discipline(o);
-                 }});
+                 run_ablation_sleep_discipline});
   out.push_back({"governor_ladder", "ROADMAP ladder",
                  "predictive idle governor vs sleep-when-idle vs clairvoyant "
-                 "across ladder depth x utilization", 8,
-                 [](const RunOptions& o) { return run_governor_ladder(o); }});
+                 "across ladder depth x utilization", 8, run_governor_ladder});
   out.push_back({"service_throughput", "online serving",
                  "ingest events/sec: parse-on-shard pipeline vs baseline", 3,
-                 [](const RunOptions& o) {
-                   return run_service_throughput(o);
-                 }});
+                 run_service_throughput});
 }
 
 }  // namespace sdem::bench

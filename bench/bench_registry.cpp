@@ -82,7 +82,7 @@ Json seed_comparison_json(const SeedComparison& sc) {
   j.set("memory_sleep_mbkps_s", sc.sleep_mbkps);
   j.set("solver_seconds", sc.solver_seconds);
   // Per-cell deterministic counter attribution (docs/observability.md):
-  // identical at any --jobs/--tile, but strictly additive schema — the
+  // identical at any --jobs, but strictly additive schema — the
   // runner's --stable strips it so pre-attribution goldens stay valid.
   if (!sc.counters.empty()) {
     Json c = Json::object();
@@ -90,6 +90,16 @@ Json seed_comparison_json(const SeedComparison& sc) {
     j.set("counters", std::move(c));
   }
   return j;
+}
+
+void set_data(ExperimentResult& r, Json params, Json rows) {
+  r.data = Json::object();
+  r.data.set("params", std::move(params));
+  r.data.set("rows", std::move(rows));
+}
+
+Json stable_data(const Json& data) {
+  return data.without_key("solver_seconds").without_key("counters");
 }
 
 void attach_seeds(Json& row, const std::vector<SeedComparison>& seeds,

@@ -95,11 +95,11 @@ inline std::vector<std::pair<std::string, std::uint64_t>> counter_delta(
   return out;
 }
 
-/// One cell's work, shared by the seed and grid collectors: run the
-/// comparison with the caller's scratch, fill the slot, and attribute the
-/// worker thread's deterministic counter delta to the cell. The cell runs
-/// entirely on one thread, so the delta is a pure function of (trace, cfg)
-/// whatever the job count, tile size, or scheduling.
+/// One cell's work for collect_grid_comparisons: run the comparison with
+/// the caller's scratch, fill the slot, and attribute the worker thread's
+/// deterministic counter delta to the cell. The cell runs entirely on one
+/// thread, so the delta is a pure function of (trace, cfg) whatever the
+/// job count, tiling, or scheduling.
 inline void fill_seed_comparison(SeedComparison& sc, std::uint64_t seed,
                                  const TaskSet& trace, const SystemConfig& cfg,
                                  ComparisonScratch& scratch) {
@@ -121,42 +121,35 @@ inline void fill_seed_comparison(SeedComparison& sc, std::uint64_t seed,
   sc.counters = counter_delta(before, obs::Registry::instance().local_counters());
 }
 
-/// Run `seeds` independent comparisons, in parallel when `pool` is given.
-/// Slot i holds seed i+1; the returned vector is always in seed order.
-template <typename MakeTrace>
-std::vector<SeedComparison> collect_seed_comparisons(MakeTrace&& make_trace,
-                                                     const SystemConfig& cfg,
-                                                     int seeds,
-                                                     ThreadPool* pool = nullptr) {
-  std::vector<SeedComparison> out(static_cast<std::size_t>(seeds));
-  parallel_for_seeds(pool, seeds, [&](std::uint64_t seed, std::size_t i) {
-    ComparisonScratch scratch;
-    fill_seed_comparison(out[i], seed, make_trace(seed), cfg, scratch);
-  });
-  return out;
+/// Cells per pool task in collect_grid_comparisons: ceil(cells / (4 ·
+/// workers)), enough to amortize scratch growth while leaving about four
+/// tiles per worker for load balance.
+inline int grid_tile(int cells, const ThreadPool* pool) {
+  const int runs = 4 * (pool != nullptr ? pool->size() : 1);
+  return (cells + runs - 1) / runs;
 }
 
-/// Grid generalization of collect_seed_comparisons: every (operating point,
-/// seed) cell runs independently on the pool, so sweeps with many points
-/// and few seeds — fig7's 64 cells, a --seeds 2 rerun — still occupy every
-/// worker. `make_trace(point, seed)` builds the cell's trace,
-/// `cfg_for(point)` its config. `tile` > 1 batches that many consecutive
-/// point-major cells per pool task and reuses one ComparisonScratch across
-/// the batch (parallel_for_grid_tiled), amortizing the policies' workspace
-/// growth; the serial path always reuses one scratch for the whole grid.
+/// Run every (operating point, seed) comparison of a grid independently on
+/// the pool, so sweeps with many points and few seeds — fig7's 64 cells, a
+/// --seeds 2 rerun — still occupy every worker. `make_trace(point, seed)`
+/// builds the cell's trace, `cfg_for(point)` its config. Each pool task
+/// runs grid_tile consecutive point-major cells and reuses one
+/// ComparisonScratch across them (parallel_for_grid_tiled), amortizing the
+/// policies' workspace growth; the serial path reuses one scratch for the
+/// whole grid.
 /// Returns one seed-ordered vector per point; cells are pure functions of
 /// (point, seed) and scratch reuse is semantically stateless, so the
-/// result is bit-identical to the serial point-major loop at any job count
-/// and tile size.
+/// result is bit-identical to the serial point-major loop at any job count.
 template <typename MakeTrace, typename CfgFor>
 std::vector<std::vector<SeedComparison>> collect_grid_comparisons(
     MakeTrace&& make_trace, CfgFor&& cfg_for, int points, int seeds,
-    ThreadPool* pool = nullptr, int tile = 1) {
+    ThreadPool* pool = nullptr) {
   std::vector<std::vector<SeedComparison>> out(
       static_cast<std::size_t>(points),
       std::vector<SeedComparison>(static_cast<std::size_t>(seeds)));
   parallel_for_grid_tiled(
-      pool, points, seeds, tile, [] { return ComparisonScratch(); },
+      pool, points, seeds, grid_tile(points * seeds, pool),
+      [] { return ComparisonScratch(); },
       [&](ComparisonScratch& scratch, std::size_t point, std::uint64_t seed,
           std::size_t) {
         fill_seed_comparison(out[point][seed - 1], seed,
@@ -177,33 +170,6 @@ inline SavingStats to_saving_stats(const std::vector<SeedComparison>& seeds) {
     out.mbkps_memory.add(sc.mbkps_memory);
   }
   return out;
-}
-
-template <typename MakeTrace>
-SavingStats collect_comparison(MakeTrace&& make_trace, const SystemConfig& cfg,
-                               int seeds, ThreadPool* pool = nullptr) {
-  return to_saving_stats(
-      collect_seed_comparisons(make_trace, cfg, seeds, pool));
-}
-
-/// Average a metric over seeds via a comparison callback.
-template <typename MakeTrace>
-void average_comparison(MakeTrace&& make_trace, const SystemConfig& cfg,
-                        int seeds, double* sdem_saving, double* mbkps_saving,
-                        double* sdem_mem_saving, double* mbkps_mem_saving,
-                        ThreadPool* pool = nullptr) {
-  const auto cmps = collect_seed_comparisons(make_trace, cfg, seeds, pool);
-  double ss = 0, ms = 0, smem = 0, mmem = 0;
-  for (const SeedComparison& sc : cmps) {
-    ss += sc.sdem_system;
-    ms += sc.mbkps_system;
-    smem += sc.sdem_memory;
-    mmem += sc.mbkps_memory;
-  }
-  if (sdem_saving) *sdem_saving = ss / seeds;
-  if (mbkps_saving) *mbkps_saving = ms / seeds;
-  if (sdem_mem_saving) *sdem_mem_saving = smem / seeds;
-  if (mbkps_mem_saving) *mbkps_mem_saving = mmem / seeds;
 }
 
 /// "12.34 ±0.56" percentage rendering of a savings Stats.

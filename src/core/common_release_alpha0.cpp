@@ -110,6 +110,12 @@ CaseLocal case_local_optimum(const Instance& in, int i) {
   double hi = (i >= 2) ? in.ws->delta[i - 1] : in.horizon;
   if (std::isfinite(in.s_up) && in.ws->suffix_wmax[i] > 0.0) {
     hi = std::min(hi, in.horizon - in.ws->suffix_wmax[i] / in.s_up);
+    // instance_ok admits fills up to s_up·(1+1e-12), which puts the cap a
+    // rounding step below lo; such a case still runs, at Δ = lo.
+    if (hi < lo && in.horizon - in.ws->suffix_wmax[i] /
+                                    (in.s_up * (1.0 + 1e-12)) >= lo) {
+      hi = lo;
+    }
   }
   if (hi < lo) return out;  // case entirely infeasible under the speed cap
   const double dm = std::clamp(delta_mi(in, i), lo, hi);

@@ -376,17 +376,16 @@ void Daemon::dispatch(Acceptor& a, const std::string& line, Conn& c) {
   const std::uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t conn_seq = c.conn_seq++;
 
-  if (opt_.parse_on_shard) {
-    const Peeked peek = peek_request(line);
-    if (peek.routable()) {
-      // Fast path: ship the raw line; the shard worker parses it.
-      std::shared_lock<std::shared_mutex> gate(barrier_mu_);
-      svc_->route_raw(peek.island, peek.op, line, seq, c.id, conn_seq,
-                      a.index);
-      return;
-    }
+  const Peeked peek = peek_request(line);
+  if (peek.routable()) {
+    // Fast path: ship the raw line; the shard worker parses it.
+    std::shared_lock<std::shared_mutex> gate(barrier_mu_);
+    svc_->route_raw(peek.island, peek.op, line, seq, c.id, conn_seq, a.index);
+    return;
   }
 
+  // Lines peek cannot route (barriers, odd but valid JSON, malformed
+  // input) take the full parse here.
   Parsed p = parse_request(line);
   if (!p.ok) {
     writer_.deposit(c.id, conn_seq, error_response(seq, p.error).dump(0));

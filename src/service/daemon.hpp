@@ -44,14 +44,12 @@ struct DaemonOptions {
   std::string policy = "sdem-on";
   int shards = 1;
   /// Ingest/poll threads; connections are assigned round-robin. More than
-  /// one only pays off when parse-on-ingest or many slow clients dominate.
+  /// one only pays off when many slow clients or unpeekable lines (parsed
+  /// on the ingest thread) dominate.
   int acceptors = 1;
   int port = -1;           ///< -1 = no TCP; 0 = pick a free port
   bool use_stdin = true;   ///< serve requests on stdin/stdout (CLI mode)
   std::size_t queue_capacity = 1024;
-  /// Ship raw lines to shard workers (peek_request routing); false parses
-  /// every line on the ingest thread (the pre-pipelining baseline).
-  bool parse_on_shard = true;
   /// When > 0 and metrics_path is set, a background thread writes the
   /// Prometheus exposition (Service::metrics_text()) to metrics_path every
   /// interval, truncating — the file always holds the latest snapshot.

@@ -229,6 +229,13 @@ CaseLocal case_local_optimum(const Instance& in, int i) {
   double hi = (i >= 2) ? in.delta[i - 1] : in.horizon;
   if (std::isfinite(in.s_up) && in.suffix_wmax[i] > 0.0) {
     hi = std::min(hi, in.horizon - in.suffix_wmax[i] / in.s_up);
+    // The one intentional edit to this frozen copy: the live solver's
+    // boundary mend (common_release_alpha0.cpp) — a fill admitted inside
+    // instance_ok's slack runs at Δ = lo instead of failing every case.
+    if (hi < lo &&
+        in.horizon - in.suffix_wmax[i] / (in.s_up * (1.0 + 1e-12)) >= lo) {
+      hi = lo;
+    }
   }
   if (hi < lo) return out;
   const double dm = std::clamp(delta_mi(in, i), lo, hi);

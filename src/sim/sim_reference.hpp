@@ -3,7 +3,9 @@
 // tests/test_sim_fastpath.cpp). Everything here trades speed for
 // obviousness: std::map-keyed state, per-call copies and sorts, per-probe
 // config reads — exactly the code the optimized path must reproduce bit for
-// bit. Do not "improve" this file; its value is that it never changes.
+// bit. Do not "improve" this file; its value is that it never changes
+// except by a recorded edit that mirrors a deliberate behavior fix of the
+// live code (so far one: the §4.1 speed-cap slack in ref_alpha0).
 #pragma once
 
 #include <map>

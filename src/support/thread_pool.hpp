@@ -69,61 +69,22 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Serial when pool is null or single-threaded — the reference execution
-/// the parallel path must match bit-for-bit. `fn(seed, index)` receives the
-/// 1-based seed (what the generators consume) and the 0-based slot index.
-template <typename Fn>
-void parallel_for_seeds(ThreadPool* pool, int seeds, Fn&& fn) {
-  if (seeds <= 0) return;
-  if (pool == nullptr) {
-    for (int i = 0; i < seeds; ++i)
-      fn(static_cast<std::uint64_t>(i + 1), static_cast<std::size_t>(i));
-    return;
-  }
-  pool->parallel_for(static_cast<std::size_t>(seeds), [&fn](std::size_t i) {
-    fn(static_cast<std::uint64_t>(i + 1), i);
-  });
-}
-
-/// Grid generalization of parallel_for_seeds: every (operating point, seed)
-/// cell is an independent work item, so small-seed sweeps with many points
+/// Grid sweep with a per-tile context: every (operating point, seed) cell
+/// is an independent work item, so small-seed sweeps with many points
 /// (fig7's 64 cells, table4's single point) still occupy the whole pool.
-/// `fn(point, seed, slot)` receives the 0-based point index, the 1-based
-/// seed, and the flat point-major slot index point*seeds + (seed-1) — the
-/// exact order the serial reference loop visits, so caller-side folds over
-/// slots are bit-identical at any job count.
-template <typename Fn>
-void parallel_for_grid(ThreadPool* pool, int points, int seeds, Fn&& fn) {
-  if (points <= 0 || seeds <= 0) return;
-  const std::size_t total =
-      static_cast<std::size_t>(points) * static_cast<std::size_t>(seeds);
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < total; ++i) {
-      fn(i / static_cast<std::size_t>(seeds),
-         static_cast<std::uint64_t>(i % static_cast<std::size_t>(seeds)) + 1,
-         i);
-    }
-    return;
-  }
-  pool->parallel_for(total, [&fn, seeds](std::size_t i) {
-    fn(i / static_cast<std::size_t>(seeds),
-       static_cast<std::uint64_t>(i % static_cast<std::size_t>(seeds)) + 1, i);
-  });
-}
-
-/// Tiled variant of parallel_for_grid: the flat point-major cell range is
-/// cut into runs of `tile` consecutive cells and each run becomes one pool
-/// task that first calls `make_ctx()` and then hands the same context to
-/// every cell in the run — `fn(ctx, point, seed, slot)`. The context is the
-/// amortization vehicle: a solver workspace or policy pair created once per
-/// tile keeps its grown buffers warm across the tile's cells instead of
-/// being rebuilt per cell. tile <= 1 degenerates to one cell per task; the
-/// serial path (null pool) uses a single context for the whole grid, which
-/// is exactly the largest legal tile. Bit-identity holds for any (tile,
-/// jobs) pair for the same reason it holds untiled: cells write only their
-/// own slots and the caller folds slots in flat order — provided `fn` gives
-/// the same results for a fresh and a reused context (reuse must be
-/// semantically stateless, e.g. policies that reset per run).
+/// The flat point-major cell range — slot point*seeds + (seed-1), the order
+/// the serial reference loop visits — is cut into runs of `tile`
+/// consecutive cells and each run becomes one pool task that first calls
+/// `make_ctx()` and then hands the same context to every cell in the run —
+/// `fn(ctx, point, seed, slot)`. The context is the amortization vehicle: a
+/// solver workspace or policy pair created once per tile keeps its grown
+/// buffers warm across the tile's cells instead of being rebuilt per cell.
+/// tile <= 1 degenerates to one cell per task; the serial path (null pool)
+/// uses a single context for the whole grid, which is exactly the largest
+/// legal tile. Bit-identity holds for any (tile, jobs) pair because cells
+/// write only their own slots and the caller folds slots in flat order —
+/// provided `fn` gives the same results for a fresh and a reused context
+/// (reuse must be semantically stateless, e.g. policies that reset per run).
 template <typename MakeCtx, typename Fn>
 void parallel_for_grid_tiled(ThreadPool* pool, int points, int seeds, int tile,
                              MakeCtx&& make_ctx, Fn&& fn) {
@@ -148,6 +109,30 @@ void parallel_for_grid_tiled(ThreadPool* pool, int points, int seeds, int tile,
       fn(ctx, i / sseeds, static_cast<std::uint64_t>(i % sseeds) + 1, i);
     }
   });
+}
+
+/// parallel_for_grid_tiled without a context, one cell per pool task:
+/// `fn(point, seed, slot)` gets the 0-based point, the 1-based seed and the
+/// flat point-major slot, so caller-side folds over slots are bit-identical
+/// at any job count.
+template <typename Fn>
+void parallel_for_grid(ThreadPool* pool, int points, int seeds, Fn&& fn) {
+  parallel_for_grid_tiled(
+      pool, points, seeds, 1, [] { return 0; },
+      [&fn](int, std::size_t point, std::uint64_t seed, std::size_t slot) {
+        fn(point, seed, slot);
+      });
+}
+
+/// The one-point grid: `fn(seed, index)` receives the 1-based seed (what
+/// the generators consume) and the 0-based slot index. Serial when pool is
+/// null — the reference execution the parallel path must match bit-for-bit.
+template <typename Fn>
+void parallel_for_seeds(ThreadPool* pool, int seeds, Fn&& fn) {
+  parallel_for_grid(pool, 1, seeds,
+                    [&fn](std::size_t, std::uint64_t seed, std::size_t i) {
+                      fn(seed, i);
+                    });
 }
 
 }  // namespace sdem

@@ -7,8 +7,8 @@
 //     and speed caps tight enough that probes hit infeasible windows;
 //     infeasible and non-positive windows price at +inf.
 //   * Tiled grid sweeps must be pure layout: collect_grid_comparisons at
-//     any tile size — and serially — returns identical bytes, per-cell
-//     counter attribution included.
+//     every tile size it derives from the pool — and serially — returns
+//     identical bytes, per-cell counter attribution included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -139,25 +140,35 @@ void expect_grids_identical(
 }
 
 TEST(BlockKernel, TiledGridIsPureLayout) {
-  // tiled (several sizes) ≡ untiled ≡ serial, per-cell counters included.
+  // Derived tiles (several sizes) ≡ untiled ≡ serial, per-cell counters
+  // included.
   const auto make_trace = [](std::size_t point, std::uint64_t seed) {
     return make_agreeable(8 + static_cast<int>(point) * 2, seed * 31 + point,
                           0.080);
   };
   const SystemConfig cfg = SystemConfig::paper_default();
   const auto cfg_for = [&](std::size_t) -> const SystemConfig& { return cfg; };
-  constexpr int kPoints = 3, kSeeds = 4;
 
+  // 12 cells on 3 workers: one cell per pool task.
+  const auto small =
+      bench::collect_grid_comparisons(make_trace, cfg_for, 3, 4);
+  ThreadPool pool3(3);
+  ASSERT_EQ(bench::grid_tile(12, &pool3), 1);
+  expect_grids_identical(
+      small, bench::collect_grid_comparisons(make_trace, cfg_for, 3, 4, &pool3),
+      "serial vs untiled");
+
+  // 64 cells on 2 and 8 workers: tiles of 8 and 2 cells.
+  constexpr int kPoints = 4, kSeeds = 16;
   const auto serial =
       bench::collect_grid_comparisons(make_trace, cfg_for, kPoints, kSeeds);
-  ThreadPool pool(3);
-  const auto untiled = bench::collect_grid_comparisons(make_trace, cfg_for,
-                                                       kPoints, kSeeds, &pool);
-  expect_grids_identical(serial, untiled, "serial vs untiled");
-  for (const int tile : {2, 5, 64}) {
-    const auto tiled = bench::collect_grid_comparisons(
-        make_trace, cfg_for, kPoints, kSeeds, &pool, tile);
-    expect_grids_identical(serial, tiled, "serial vs tiled");
+  for (const auto& [workers, tile] : {std::pair{2, 8}, std::pair{8, 2}}) {
+    ThreadPool pool(workers);
+    ASSERT_EQ(bench::grid_tile(kPoints * kSeeds, &pool), tile);
+    expect_grids_identical(serial,
+                           bench::collect_grid_comparisons(
+                               make_trace, cfg_for, kPoints, kSeeds, &pool),
+                           "serial vs tiled");
   }
 }
 

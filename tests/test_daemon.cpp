@@ -292,16 +292,24 @@ TEST(Daemon, ShutdownStopsRunAndReportsCount) {
   EXPECT_EQ(h.rc, 0);
 }
 
-TEST(Daemon, ParseOnIngestBaselineStillServes) {
+TEST(Daemon, UnpeekableSubmitTakesTheFullParseFallback) {
+  // "island":2.0 is a valid integer island that peek_request will not
+  // route, so the acceptor parses it itself; the next SUBMIT on the same
+  // connection takes the peek path and is still answered after it.
   DaemonOptions opt;
   opt.shards = 2;
-  opt.parse_on_shard = false;
   DaemonHarness h(opt);
   LineClient c(h.port);
-  c.send(submit_line(0, 1, 0.0) + "\n");
-  const Json resp = Json::parse(c.recv_line());
-  ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
-  EXPECT_EQ(resp.at("id").as_number(), 1.0);
+  const std::string unpeekable =
+      R"({"op":"SUBMIT","island":2.0,)"
+      R"("task":{"id":1,"release":0,"deadline":1,"work":0.05}})";
+  ASSERT_FALSE(peek_request(unpeekable).routable());
+  c.send(unpeekable + "\n" + submit_line(0, 2, 0.0) + "\n");
+  for (const double id : {1.0, 2.0}) {
+    const Json resp = Json::parse(c.recv_line());
+    ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(0);
+    EXPECT_EQ(resp.at("id").as_number(), id);
+  }
 }
 
 }  // namespace

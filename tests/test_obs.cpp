@@ -82,21 +82,17 @@ TEST(Obs, ShardsFromOtherThreadsMergeIntoTheSnapshot) {
 // real experiment is a pure function of the work done, so running the same
 // sweep serially and on four workers yields byte-identical counters JSON.
 TEST(Obs, CounterMergeIsJobCountIndependent) {
-  bench::RunOptions opt;
-  opt.seeds = 2;
   const bench::Experiment* e = bench::find_experiment("online_vs_offline");
   ASSERT_NE(e, nullptr);
 
   Registry::instance().reset();
-  opt.pool = nullptr;  // serial reference
-  (void)e->run(opt);
+  (void)e->run(e->options(2, nullptr));  // serial reference
   const std::string serial =
       Registry::instance().snapshot().counters_json().dump(2);
 
   ThreadPool pool(4);
   Registry::instance().reset();
-  opt.pool = &pool;
-  (void)e->run(opt);
+  (void)e->run(e->options(2, &pool));
   const std::string pooled =
       Registry::instance().snapshot().counters_json().dump(2);
 

@@ -1,7 +1,8 @@
 // ThreadPool / parallel_for_seeds: the bench harness's determinism
 // contract. A --jobs N sweep must produce bit-identical per-seed results
 // to the serial loop it replaced, whatever the scheduling, because each
-// seed writes only its own slot and folds happen in seed order.
+// seed writes only its own slot and folds happen in seed order. The last
+// test holds every registered deterministic experiment to it.
 #include "support/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -10,9 +11,10 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "bench_util.hpp"
+#include "bench_registry.hpp"
 #include "workload/generator.hpp"
 
 namespace sdem {
@@ -121,20 +123,21 @@ TEST(ParallelForSeeds, SlotsMatchSerialBitForBit) {
 // job count, on the actual paper workload + solver stack.
 TEST(ParallelForSeeds, BenchComparisonDeterministicAcrossJobCounts) {
   const auto cfg = bench::paper_cfg();
-  const auto make_trace = [](std::uint64_t seed) {
+  const auto make_trace = [](std::size_t, std::uint64_t seed) {
     SyntheticParams p;
     p.num_tasks = 30;
     p.max_interarrival = 0.200;
     return make_synthetic(p, seed * 977 + 3);
   };
+  const auto cfg_for = [&](std::size_t) -> const SystemConfig& { return cfg; };
   constexpr int kSeeds = 6;
-  const auto serial =
-      bench::collect_seed_comparisons(make_trace, cfg, kSeeds, nullptr);
+  const auto serial = bench::collect_grid_comparisons(make_trace, cfg_for, 1,
+                                                      kSeeds, nullptr)[0];
   ASSERT_EQ(serial.size(), static_cast<std::size_t>(kSeeds));
   for (int jobs : {2, 4}) {
     ThreadPool pool(jobs);
-    const auto parallel =
-        bench::collect_seed_comparisons(make_trace, cfg, kSeeds, &pool);
+    const auto parallel = bench::collect_grid_comparisons(
+        make_trace, cfg_for, 1, kSeeds, &pool)[0];
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
       EXPECT_EQ(serial[i].seed, parallel[i].seed);
@@ -153,6 +156,27 @@ TEST(ParallelForSeeds, BenchComparisonDeterministicAcrossJobCounts) {
     EXPECT_EQ(a.sdem_system.sem(), b.sdem_system.sem());
     EXPECT_EQ(a.mbkps_memory.mean(), b.mbkps_memory.mean());
   }
+}
+
+// Every registered experiment whose payload is deterministic (all but the
+// timing experiments table1 and service_throughput) renders the same
+// tables, footers and --stable data serially and on a pool.
+TEST(BenchRegistry, EveryDeterministicExperimentIsJobCountInvariant) {
+  const auto render = [](const bench::ExperimentResult& r) {
+    std::string out = r.header_title + "\n" + r.header_what + "\n";
+    for (const Table& t : r.tables) out += t.to_text() + t.to_csv();
+    for (const std::string& f : r.footers) out += f + "\n";
+    return out + bench::stable_data(r.data).dump(2);
+  };
+  ThreadPool pool(3);
+  int checked = 0;
+  for (const bench::Experiment& e : bench::all_experiments()) {
+    if (e.name == "table1" || e.name == "service_throughput") continue;
+    const std::string serial = render(e.run(e.options(2, nullptr)));
+    EXPECT_EQ(serial, render(e.run(e.options(2, &pool)))) << e.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 18);
 }
 
 }  // namespace

@@ -55,10 +55,7 @@ int usage(int code) {
       "                    stdout; default BENCH_<name>.json per experiment\n"
       "  --stable          omit timings, job count, and observability\n"
       "                    sections from the JSON (byte-reproducible across\n"
-      "                    runs, --jobs, and --tile)\n"
-      "  --tile N          grid cells per pool task for grid-shaped sweeps;\n"
-      "                    > 1 reuses one solver scratch across N adjacent\n"
-      "                    (point, seed) cells (results are tile-invariant)\n"
+      "                    runs and --jobs)\n"
       "  --timer-rollup    after each experiment, print the scoped-timer\n"
       "                    hierarchy as an indented inclusive/exclusive table\n"
       "  --trace PATH      record a chrome://tracing JSON of the whole run\n"
@@ -90,9 +87,7 @@ Json make_document(const Experiment& e, const ExperimentResult& r, int seeds,
   // --stable also drops the per-seed "counters" attribution: the values
   // are deterministic, but the key is additive schema and the stable bytes
   // must match pre-attribution goldens.
-  doc.set("data", stable ? r.data.without_key("solver_seconds")
-                               .without_key("counters")
-                         : r.data);
+  doc.set("data", stable ? stable_data(r.data) : r.data);
   // Observability sections (docs/observability.md): "counters" holds the
   // deterministic domain (identical values at any --jobs), "runtime" the
   // scheduling/clock-dependent one. Strictly additive, and omitted under
@@ -204,7 +199,6 @@ int main(int argc, char** argv) {
   std::string trace_path;
   int seeds = 0;
   int jobs = ThreadPool::hardware_jobs();
-  int tile = 1;
   bool list = false, md = false, quiet = false, stable = false;
   bool timer_rollup = false;
 
@@ -233,13 +227,6 @@ int main(int argc, char** argv) {
       jobs = std::atoi(v);
       if (jobs <= 0) {
         std::fprintf(stderr, "--jobs needs a positive integer, got '%s'\n", v);
-        return usage(2);
-      }
-    } else if (arg == "--tile") {
-      const char* v = value("--tile");
-      tile = std::atoi(v);
-      if (tile <= 0) {
-        std::fprintf(stderr, "--tile needs a positive integer, got '%s'\n", v);
         return usage(2);
       }
     } else if (arg == "--timer-rollup") {
@@ -298,10 +285,7 @@ int main(int argc, char** argv) {
 
   double total_wall = 0.0;
   for (const Experiment* e : selected) {
-    RunOptions opt;
-    opt.seeds = seeds;
-    opt.pool = pool.get();
-    opt.tile = tile;
+    const RunOptions opt = e->options(seeds, pool.get());
     // Fresh counters per experiment: the "counters" section of
     // BENCH_<name>.json covers exactly this experiment's work.
     obs::Registry::instance().reset();
@@ -326,9 +310,7 @@ int main(int argc, char** argv) {
     if (timer_rollup && obs::compiled())
       print_timer_rollup(obs::Registry::instance().snapshot());
 
-    const int used_seeds = seeds > 0 ? seeds : e->default_seeds;
-    const Json doc =
-        make_document(*e, r, used_seeds, jobs, wall, stable);
+    const Json doc = make_document(*e, r, opt.seeds, jobs, wall, stable);
     const std::string bytes = doc.dump(2);
     if (out_path == "-") {
       std::fwrite(bytes.data(), 1, bytes.size(), stdout);
